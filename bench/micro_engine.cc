@@ -244,6 +244,46 @@ BM_SpeculativeRollbackStorm(benchmark::State &state)
 BENCHMARK(BM_SpeculativeRollbackStorm)->Arg(8);
 
 /**
+ * The speculation cliff shape of experiment P2: one producer streams
+ * writes over a four-line buffer that the other processors read,
+ * under the invalidating MOESI policy.  Every producer write kills
+ * the consumers' long runs of read hits; an unbounded speculation
+ * window replays each run in full (3,323 replayed refs per committed
+ * ref).  The rollback storm above shares lines symmetrically and so
+ * never showed it; this row guards the adaptive window bound.
+ */
+void
+BM_SpeculativeProducerConsumer(benchmark::State &state)
+{
+    const std::size_t procs = state.range(0);
+    const std::uint64_t refs = 8000;
+    std::uint64_t total = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        ProtocolSetup setup;
+        setup.chooser = ChooserKind::Policy;
+        setup.policy.sharedWrite = MoesiPolicy::SharedWrite::Invalidate;
+        auto sys = makeSystem(setup, procs);
+        std::vector<std::unique_ptr<RefStream>> streams;
+        std::vector<RefStream *> raw;
+        for (std::size_t p = 0; p < procs; ++p) {
+            streams.push_back(std::make_unique<ProducerConsumerWorkload>(
+                32, 4, /*producer=*/p == 0, p + 1));
+            raw.push_back(streams.back().get());
+        }
+        state.ResumeTiming();
+        EngineConfig cfg;
+        cfg.ordering = EngineOrdering::Strict;
+        Engine engine(*sys, cfg);
+        EngineResult result = engine.run(raw, refs);
+        benchmark::DoNotOptimize(result);
+        total += refs * procs;
+    }
+    state.SetItemsProcessed(total);
+}
+BENCHMARK(BM_SpeculativeProducerConsumer)->Arg(6);
+
+/**
  * Engine throughput with the observability layer attached: a
  * per-master LatencyRecorder plus a buffering Perfetto sink on the bus
  * and engine.  Compare against BM_EngineThroughput/8 to see the

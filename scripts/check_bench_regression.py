@@ -25,12 +25,15 @@ import sys
 
 # Rows enforced when no --bench is given.  BM_EngineThroughput/8 is the
 # historical acceptance row (default ordering, which now routes through
-# the speculative post-grant loop); the two speculative rows pin the
-# clean-batch fast path and the rollback-storm adversary separately.
+# the speculative post-grant loop); the speculative rows pin the
+# clean-batch fast path, the rollback-storm adversary and the
+# producer-consumer replay cliff (bounded speculation window)
+# separately.
 DEFAULT_GUARDED = [
     "BM_EngineThroughput/8",
     "BM_SpeculativeEngineThroughput/8",
     "BM_SpeculativeRollbackStorm/8",
+    "BM_SpeculativeProducerConsumer/6",
 ]
 
 

@@ -18,8 +18,8 @@ constexpr char kMagic[] = "fbsim-campaign-journal";
 // reproduce the metric blocks byte-identically).  v1 journals fail
 // the header match and are treated as a different campaign's file.
 // v3: records carry the job's SpecStats (the sweep table grows
-// speculation columns when a job committed batches, and resumed rows
-// must render them identically).
+// speculation columns when a job speculated, and resumed rows must
+// render them identically).
 // v4: records carry scrubDivergence (hier jobs count bridge-filter
 // entries repaired by the audit-and-scrub pass) and the bridge-site
 // fault counters, and the fingerprint covers the cluster count (a

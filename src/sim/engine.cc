@@ -636,6 +636,12 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     const Cycles hit = config_.hitCycles;
     constexpr Cycles kIdle = ~Cycles{0};
     constexpr std::uint64_t kFetchBatch = 64;
+    // Adaptive window bound: unbounded until a rollback, which caps
+    // the window at half the refs it undid (never below kMinWindow);
+    // every full commit doubles the cap again.  Bounds replay on
+    // actively-shared data without taxing private-hit streams.
+    constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
+    constexpr std::uint64_t kMinWindow = 16;
 
     /**
      * Per-processor speculation state.  Reference positions are
@@ -668,6 +674,8 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         std::uint64_t sigW = 0;  ///< same, over speculated writes only
         bool parked = false;     ///< next ref needs the bus
         bool paused = false;     ///< mismatch awaiting adjudication
+        bool capped = false;     ///< window reached `limit`
+        std::uint64_t limit = kUnbounded; ///< cap on execPos - commitPos
         std::uint64_t pausePos = 0; ///< g of the paused read
         Addr pauseAddr = 0;
         Word pauseGot = 0;
@@ -731,10 +739,11 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     /**
      * Speculatively execute proc i's run of local hits until it parks
      * (bus-bound ref), pauses (read mismatch needing in-order
-     * adjudication), exhausts its stream, or the supervisor stops the
-     * run.  Touches only proc-i state (its stream, buffer, cache and
-     * its cache's undo log) plus const oracle reads and the atomic
-     * stop flag, so the first round shards across workers.
+     * adjudication), caps (open window reached its limit), exhausts
+     * its stream, or the supervisor stops the run.  Touches only
+     * proc-i state (its stream, buffer, cache and its cache's undo
+     * log) plus const oracle reads and the atomic stop flag, so the
+     * first round shards across workers.
      */
     auto drainOne = [&](std::size_t i) {
         SpecProc &p = procs[i];
@@ -755,12 +764,15 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         std::uint64_t seqExec = p.seqExec;
         const std::uint64_t bufBase = p.bufBase;
         const ProcRef *buf = p.buf.data();
+        const std::uint64_t end =
+            p.limit < refs_per_proc - p.commitPos ? p.commitPos + p.limit
+                                                  : refs_per_proc;
         // Oracle slab memo: commits only happen at serialization
         // points, so no slab can move while this drain runs and a run
         // of same-line hits verifies with one indexed load each.
         LineAddr oLa = ~LineAddr{0};
         const Word *oWords = nullptr;
-        while (g < refs_per_proc) {
+        while (g < end) {
             if (pollEvery && ++sincePoll >= pollEvery) {
                 sincePoll = 0;
                 if (stop.load(std::memory_order_relaxed) ||
@@ -850,6 +862,9 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         // alone by contract).
         const std::uint64_t dw = seqExec - p.seqExec;
         c.specCountHits(g - p.execPos - dw, dw);
+        // A rollback can leave the window above a shrunken limit.
+        p.capped = g >= end && g < refs_per_proc && !p.parked &&
+                   !p.paused;
         p.execPos = g;
         p.fetched = fetched;
         p.seqExec = seqExec;
@@ -949,6 +964,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             p.sigW = 0;
             p.pendWrites.clear();
             p.pendHead = 0;
+            p.limit = p.limit > kUnbounded / 2 ? kUnbounded : 2 * p.limit;
         } else if (p.pendHead >= 1024 &&
                    p.pendHead * 2 >= p.pendWrites.size()) {
             // Mirror the cache's bounded dead-prefix policy.
@@ -985,6 +1001,11 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         p.execPos = k;
         p.parked = false;
         p.paused = false;   // a rolled-back pause re-adjudicates
+        p.capped = false;
+        // With zero-cycle hits a run shares one key, so no cut could
+        // split a window: stay unbounded.
+        if (hit > 0)
+            p.limit = std::max(kMinWindow, undone / 2);
         redrain[i] = 1;
         if (config_.specStats) {
             ++config_.specStats->rollbacks;
@@ -1041,9 +1062,9 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     }
 
     // --- Serialization loop.  Each iteration resolves the earliest
-    // outstanding functional event: a paused read's adjudication or
-    // the next bus transaction, both at the exact instant the
-    // interleaved loop would reach them.
+    // outstanding functional event: a full window's commit, a paused
+    // read's adjudication or the next bus transaction, all at the
+    // exact instant the interleaved loop would reach them.
     std::uint64_t sincePoll = 0;
     while (!stop.load(std::memory_order_relaxed)) {
         Cycles tstar = kIdle;
@@ -1051,6 +1072,9 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         Cycles tm = kIdle;
         std::size_t qp = 0;
         bool anyPause = false;
+        Cycles tc = kIdle;
+        std::size_t qc = 0;
+        bool anyCap = false;
         for (std::size_t i = 0; i < n; ++i) {
             SpecProc &p = procs[i];
             if (p.parked) {
@@ -1066,9 +1090,16 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
                     tm = t;
                     qp = i;
                 }
+            } else if (p.capped) {
+                Cycles t = startOf(p, p.execPos);
+                if (!anyCap || t < tc) {
+                    anyCap = true;
+                    tc = t;
+                    qc = i;
+                }
             }
         }
-        if (tstar == kIdle && !anyPause)
+        if (tstar == kIdle && !anyPause && !anyCap)
             break;   // every stream exhausted
 
         if (pollEvery && ++sincePoll >= pollEvery) {
@@ -1079,8 +1110,48 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             }
         }
 
-        if (anyPause &&
-            (tstar == kIdle || tm < tstar || (tm == tstar && qp < pv))) {
+        const bool pauseFirst =
+            anyPause &&
+            (tstar == kIdle || tm < tstar || (tm == tstar && qp < pv));
+
+        if (anyCap) {
+            // Window full.  A capped processor's next reference has
+            // not run, so it may hide a bus transaction or a pause
+            // earlier than the earliest known event E; only references
+            // before the earliest capped key K are settled.  When that
+            // processor's whole window lies before E, commit every
+            // processor up to min(K, E) - exactly what the event at E
+            // would commit first - and refill the windows that shrank.
+            // Keys order the same as each window's last reference
+            // (one hit before K), so the earliest capped processor is
+            // the one whose window ends first; when it straddles E,
+            // every capped processor does, and E runs below with each
+            // capped next reference provably after it.
+            const Cycles te = pauseFirst ? tm : tstar;
+            const std::size_t qe = pauseFirst ? qp : pv;
+            const Cycles last = tc - hit;
+            if (te == kIdle || last < te || (last == te && qc < qe)) {
+                Cycles tcut = tc;
+                std::size_t qcut = qc;
+                if (te < tc || (te == tc && qe < qc)) {
+                    tcut = te;
+                    qcut = qe;
+                }
+                for (std::size_t i = 0; i < n; ++i) {
+                    if (procs[i].commitPos < procs[i].execPos)
+                        commitRange(i, cutFor(i, tcut, qcut));
+                }
+                flushLog();
+                for (std::size_t i = 0; i < n; ++i) {
+                    const SpecProc &p = procs[i];
+                    if (p.capped && p.execPos - p.commitPos < p.limit)
+                        drainOne(i);
+                }
+                continue;
+            }
+        }
+
+        if (pauseFirst) {
             // Adjudicate the earliest pending mismatch at C = (tm,
             // qp): commit everything functionally before it, roll
             // back everything at or after it (except the paused read

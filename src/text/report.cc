@@ -227,11 +227,13 @@ renderCampaignTable(const CampaignReport &report)
         }
     }
     // Same idea for the speculation columns: they appear only when
-    // some job's ordering actually committed speculative batches, so
-    // interleaved/per-line campaigns render exactly as before.
+    // some job's ordering actually speculated - committed a batch or
+    // rolled one back (a job whose speculation all rolled back commits
+    // none) - so interleaved/per-line campaigns render exactly as
+    // before.
     bool speculative = false;
     for (const CampaignResult &r : report.results) {
-        if (r.speculation.batches > 0) {
+        if (r.speculation.batches > 0 || r.speculation.rollbacks > 0) {
             speculative = true;
             break;
         }

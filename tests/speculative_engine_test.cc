@@ -10,7 +10,8 @@
  * counters, the checker's verdicts and the functional access log.
  * These tests pin that byte-for-byte across protocol mixes, with
  * fault injection armed (where the engine must fall back to the
- * interleaved loop entirely), and through forced mid-batch rollbacks.
+ * interleaved loop entirely), through forced mid-batch rollbacks and
+ * through the bounded window's commits.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +38,26 @@ struct Observed
     std::vector<EngineAccess> accesses;
 };
 
+/** Run `streams` on `sys` under `ec` and collect everything. */
+Observed
+observe(System &sys, const std::vector<std::unique_ptr<RefStream>> &streams,
+        EngineConfig ec, std::uint64_t refs_per_proc)
+{
+    std::vector<RefStream *> raw;
+    for (const auto &s : streams)
+        raw.push_back(s.get());
+    Observed o;
+    ec.accessLog = &o.accesses;
+    Engine engine(sys, ec);
+    o.engine = engine.run(raw, refs_per_proc);
+    o.bus = sys.bus().stats();
+    for (MasterId id = 0; id < sys.numClients(); ++id)
+        o.caches.push_back(sys.cacheOf(id)->stats());
+    o.violations = sys.violations();
+    o.checkNow = sys.checkNow();
+    return o;
+}
+
 /** One timed run of an Arch85 workload over the given protocol mix. */
 Observed
 runArch85(const std::vector<ProtocolKind> &mix, EngineOrdering ordering,
@@ -61,25 +82,11 @@ runArch85(const std::vector<ProtocolKind> &mix, EngineOrdering ordering,
         sys.addCache(spec);
     }
     Arch85Params params;
-    auto streams = makeArch85Streams(params, mix.size(), 7);
-    std::vector<RefStream *> raw;
-    for (auto &s : streams)
-        raw.push_back(s.get());
-
-    Observed o;
     EngineConfig ec;
     ec.ordering = ordering;
     ec.specStats = spec;
-    ec.accessLog = &o.accesses;
-    Engine engine(sys, ec);
-
-    o.engine = engine.run(raw, refs_per_proc);
-    o.bus = sys.bus().stats();
-    for (MasterId id = 0; id < sys.numClients(); ++id)
-        o.caches.push_back(sys.cacheOf(id)->stats());
-    o.violations = sys.violations();
-    o.checkNow = sys.checkNow();
-    return o;
+    return observe(sys, makeArch85Streams(params, mix.size(), 7), ec,
+                   refs_per_proc);
 }
 
 void
@@ -158,26 +165,14 @@ runPingPong(EngineOrdering ordering, SpecStats *spec)
         sys.addCache(spec_i);
     }
     std::vector<std::unique_ptr<RefStream>> streams;
-    std::vector<RefStream *> raw;
     for (std::size_t p = 0; p < procs; ++p) {
         streams.push_back(std::make_unique<PingPongWorkload>(
             32, 3, p, p + 21, 2));
-        raw.push_back(streams.back().get());
     }
-
-    Observed o;
     EngineConfig ec;
     ec.ordering = ordering;
     ec.specStats = spec;
-    ec.accessLog = &o.accesses;
-    Engine engine(sys, ec);
-    o.engine = engine.run(raw, 2000);
-    o.bus = sys.bus().stats();
-    for (MasterId id = 0; id < sys.numClients(); ++id)
-        o.caches.push_back(sys.cacheOf(id)->stats());
-    o.violations = sys.violations();
-    o.checkNow = sys.checkNow();
-    return o;
+    return observe(sys, streams, ec, 2000);
 }
 
 TEST(SpeculativeEngineTest, MidBatchRollbackIsInvisible)
@@ -192,6 +187,134 @@ TEST(SpeculativeEngineTest, MidBatchRollbackIsInvisible)
     EXPECT_GE(spec.rolledBackRefs, spec.rollbacks);
     EXPECT_TRUE(inter.violations.empty());
     EXPECT_TRUE(inter.checkNow.empty());
+}
+
+/**
+ * The cliff shape of experiment P2: one producer streams writes over a
+ * four-line buffer that five consumers read, under the invalidating
+ * MOESI policy.  Each producer write kills the consumers' copies, so
+ * an unbounded window would replay its whole run of read hits per
+ * rollback, about 3,300 replayed refs per committed ref here.  The
+ * adaptive window must bound the replay and stay invisible.
+ */
+Observed
+runProducerConsumer(EngineOrdering ordering, SpecStats *spec)
+{
+    SystemConfig cfg;
+    cfg.lineBytes = 32;
+    System sys(cfg);
+    const std::size_t procs = 6;
+    std::vector<std::unique_ptr<RefStream>> streams;
+    for (std::size_t p = 0; p < procs; ++p) {
+        CacheSpec cs;
+        cs.chooser = ChooserKind::Policy;
+        cs.policy.sharedWrite = MoesiPolicy::SharedWrite::Invalidate;
+        cs.numSets = 64;
+        cs.assoc = 2;
+        cs.seed = p + 1;
+        sys.addCache(cs);
+        streams.push_back(std::make_unique<ProducerConsumerWorkload>(
+            32, 4, /*producer=*/p == 0, p + 1));
+    }
+    EngineConfig ec;
+    ec.ordering = ordering;
+    ec.specStats = spec;
+    return observe(sys, streams, ec, 8000);
+}
+
+TEST(SpeculativeEngineTest, ProducerConsumerInvalidateReplayIsBounded)
+{
+    Observed inter =
+        runProducerConsumer(EngineOrdering::Interleaved, nullptr);
+    SpecStats spec;
+    Observed strict = runProducerConsumer(EngineOrdering::Strict, &spec);
+    expectIdentical(inter, strict);
+    std::uint64_t committed = 0;
+    for (const ProcTiming &p : strict.engine.procs)
+        committed += p.refs;
+    EXPECT_EQ(committed, 6u * 8000u);
+    EXPECT_GE(spec.rollbacks, 1u);
+    EXPECT_LE(spec.rolledBackRefs, 16 * committed);
+    EXPECT_TRUE(inter.violations.empty());
+}
+
+/**
+ * Migratory read-modify-write bursts on one shared line, then private
+ * read hits for the rest of the stream.  The burst forces rollbacks,
+ * which shrink every window; in the private tail nothing parks or
+ * pauses, so each processor stops only at its window limit and the
+ * serialization loop advances on window-full commits alone.
+ */
+class SharedThenPrivateWorkload : public RefStream
+{
+  public:
+    SharedThenPrivateWorkload(std::size_t proc, std::uint64_t shared_refs)
+        : proc_(proc), sharedRefs_(shared_refs)
+    {
+    }
+
+    ProcRef
+    next() override
+    {
+        ProcRef ref;
+        if (n_ < sharedRefs_) {
+            // Seven reads then one write per visit, staggered by proc.
+            ref.addr = (n_ % 4) * kWordBytes;
+            ref.write = (n_ + proc_) % 8 == 0;
+        } else {
+            // Two private lines, far from the shared one.
+            ref.addr = (Addr{1} << 20) + proc_ * 64 + (n_ % 8) * kWordBytes;
+        }
+        ++n_;
+        return ref;
+    }
+
+  private:
+    std::size_t proc_;
+    std::uint64_t sharedRefs_;
+    std::uint64_t n_ = 0;
+};
+
+Observed
+runSharedThenPrivate(EngineOrdering ordering, SpecStats *spec,
+                     std::uint64_t shared_refs, std::uint64_t refs)
+{
+    SystemConfig cfg;
+    cfg.lineBytes = 32;
+    System sys(cfg);
+    const std::size_t procs = 4;
+    std::vector<std::unique_ptr<RefStream>> streams;
+    for (std::size_t p = 0; p < procs; ++p) {
+        CacheSpec cs = test::smallCache(ProtocolKind::Berkeley);
+        cs.numSets = 16;
+        cs.assoc = 2;
+        cs.seed = p + 1;
+        sys.addCache(cs);
+        streams.push_back(
+            std::make_unique<SharedThenPrivateWorkload>(p, shared_refs));
+    }
+    EngineConfig ec;
+    ec.ordering = ordering;
+    ec.specStats = spec;
+    return observe(sys, streams, ec, refs);
+}
+
+TEST(SpeculativeEngineTest, WindowFullCommitsAloneAreInvisible)
+{
+    const std::uint64_t kShared = 400;
+    const std::uint64_t kTail = 6000;
+    Observed inter = runSharedThenPrivate(EngineOrdering::Interleaved,
+                                          nullptr, kShared,
+                                          kShared + kTail);
+    SpecStats spec;
+    Observed strict = runSharedThenPrivate(EngineOrdering::Strict, &spec,
+                                           kShared, kShared + kTail);
+    expectIdentical(inter, strict);
+    EXPECT_GE(spec.rollbacks, 1u);
+    // An unbounded window would commit each tail in one batch at the
+    // end of the run; the bounded one commits it in window-full steps.
+    EXPECT_LT(spec.batchLen.data().max, kTail);
+    EXPECT_TRUE(inter.violations.empty());
 }
 
 TEST(SpeculativeEngineTest, RelaxedPerLineShardsAreByteIdentical)
@@ -213,25 +336,13 @@ TEST(SpeculativeEngineTest, RelaxedPerLineShardsAreByteIdentical)
                 sys.addCache(spec);
             }
             Arch85Params params;
-            auto streams = makeArch85Streams(params, mix.size(), 7);
-            std::vector<RefStream *> raw;
-            for (auto &s : streams)
-                raw.push_back(s.get());
             ThreadPool pool(shards);
-            Observed o;
             EngineConfig ec;
             ec.ordering = EngineOrdering::PerLine;
             ec.shards = shards;
             ec.pool = shards > 1 ? &pool : nullptr;
-            ec.accessLog = &o.accesses;
-            Engine engine(sys, ec);
-            o.engine = engine.run(raw, 1500);
-            o.bus = sys.bus().stats();
-            for (MasterId id = 0; id < sys.numClients(); ++id)
-                o.caches.push_back(sys.cacheOf(id)->stats());
-            o.violations = sys.violations();
-            o.checkNow = sys.checkNow();
-            runs.push_back(std::move(o));
+            runs.push_back(observe(
+                sys, makeArch85Streams(params, mix.size(), 7), ec, 1500));
         }
         expectIdentical(runs[0], runs[1]);
     }

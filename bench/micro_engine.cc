@@ -11,8 +11,10 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "mc/explorer.h"
 #include "obs/latency.h"
 #include "obs/perfetto_sink.h"
+#include "protocols/factory.h"
 
 using namespace fbsim;
 using namespace fbsim::bench;
@@ -436,6 +438,27 @@ BM_AbortPushRetry(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AbortPushRetry);
+
+/**
+ * The model checker's transition loop: one exhaustive exploration of
+ * MOESI at 4 caches x 2 lines (8,464 states, 493,856 transitions), the
+ * largest graph of the nightly mc-deep set.  Items are transitions.
+ */
+void
+BM_McExploreMoesi4x2(benchmark::State &state)
+{
+    mc::ExploreConfig cfg;
+    cfg.model.tables.assign(4, &protocolTable(ProtocolKind::Moesi));
+    cfg.model.lines = 2;
+    std::uint64_t edges = 0;
+    for (auto _ : state) {
+        mc::ExploreResult res = mc::explore(cfg);
+        benchmark::DoNotOptimize(res.edgeFingerprint);
+        edges += res.edges;
+    }
+    state.SetItemsProcessed(edges);
+}
+BENCHMARK(BM_McExploreMoesi4x2);
 
 } // namespace
 

@@ -28,12 +28,14 @@ import sys
 # the speculative post-grant loop); the speculative rows pin the
 # clean-batch fast path, the rollback-storm adversary and the
 # producer-consumer replay cliff (bounded speculation window)
-# separately.
+# separately; BM_McExploreMoesi4x2 pins the model checker's
+# allocation-free transition loop.
 DEFAULT_GUARDED = [
     "BM_EngineThroughput/8",
     "BM_SpeculativeEngineThroughput/8",
     "BM_SpeculativeRollbackStorm/8",
     "BM_SpeculativeProducerConsumer/6",
+    "BM_McExploreMoesi4x2",
 ]
 
 

@@ -46,7 +46,8 @@ formatTransaction(const BusRequest &req, const BusResult &result)
         out += result.suppliedByCache ? " <- cache" : " <- memory";
     }
     if (result.aborts > 0)
-        out += strprintf(" (%u aborts)", result.aborts);
+        out += strprintf(" (%llu aborts)",
+                         static_cast<unsigned long long>(result.aborts));
     out += strprintf(" [%llu cyc]",
                      static_cast<unsigned long long>(result.cost));
     return out;

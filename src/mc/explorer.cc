@@ -1,152 +1,16 @@
 #include "mc/explorer.h"
 
-#include <deque>
-
-#include "common/flat_map.h"
+#include "mc/bfs.h"
 
 namespace fbsim {
 namespace mc {
 
-namespace {
-
-/** splitmix64 finalizer: the same mixer FlatMap64 uses, good avalanche
- *  for the order-independent fingerprint sums. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-eventCode(const ModelEvent &ev)
-{
-    return (static_cast<std::uint64_t>(ev.cache) << 10) |
-           (static_cast<std::uint64_t>(ev.line) << 8) |
-           static_cast<std::uint64_t>(ev.ev);
-}
-
-/** One discovered state, with enough breadcrumbs to rebuild the path
- *  that first reached it. */
-struct Node
-{
-    ModelState state;
-    std::uint64_t key = 0;
-    std::size_t depth = 0;
-    /** Index of the BFS predecessor; npos for the initial state. */
-    std::size_t parent = static_cast<std::size_t>(-1);
-    /** The step that produced this node from its parent. */
-    TraceStep via;
-};
-
-} // namespace
-
 ExploreResult
 explore(const ExploreConfig &cfg)
 {
-    const ModelConfig &mc = cfg.model;
-    ExploreResult res;
-
-    std::vector<Node> nodes;
-    FlatMap64<std::uint32_t> visited;   // canonical key -> node index
-    std::deque<std::size_t> frontier;
-
-    Node init;
-    init.state = initialState(mc);
-    init.key = canonicalKey(mc, init.state);
-    nodes.push_back(init);
-    visited[init.key] = 0;
-    frontier.push_back(0);
-    res.nodeFingerprint += mix64(init.key);
-
-    // Rebuild the parent-chain trace into a counterexample ending with
-    // the given violating step.
-    auto buildCex = [&](std::size_t from, TraceStep last,
-                        std::vector<std::string> violations,
-                        const ModelState &final_state) {
-        Counterexample cex;
-        std::vector<const TraceStep *> chain;
-        for (std::size_t i = from; i != static_cast<std::size_t>(-1);
-             i = nodes[i].parent) {
-            if (nodes[i].parent != static_cast<std::size_t>(-1))
-                chain.push_back(&nodes[i].via);
-        }
-        for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-            cex.steps.push_back(**it);
-        cex.steps.push_back(std::move(last));
-        cex.violations = std::move(violations);
-        cex.finalState = final_state;
-        return cex;
-    };
-
-    while (!frontier.empty()) {
-        const std::size_t cur = frontier.front();
-        frontier.pop_front();
-        // nodes[] may reallocate as successors are appended; copy the
-        // expansion state out first.
-        const ModelState cur_state = nodes[cur].state;
-        const std::size_t cur_depth = nodes[cur].depth;
-        if (cur_depth > res.depth)
-            res.depth = cur_depth;
-
-        for (const ModelEvent &ev : legalEvents(mc, cur_state)) {
-            OdoFeed odo;
-            do {
-                odo.rewind();
-                ModelState succ = cur_state;
-                TraceStep step;
-                step.event = ev;
-                StepResult r =
-                    stepModel(mc, succ, ev, odo, &step.choices);
-                ++res.edges;
-
-                if (!r.ok) {
-                    res.nodes = nodes.size();
-                    res.counterexample =
-                        buildCex(cur, std::move(step),
-                                 std::move(r.violations), succ);
-                    return res;
-                }
-                // Invariant-check BEFORE dedup: the canonical key only
-                // abstracts clean states.
-                std::vector<std::string> bad =
-                    checkInvariants(mc, succ);
-                if (!bad.empty()) {
-                    res.nodes = nodes.size();
-                    res.counterexample = buildCex(
-                        cur, std::move(step), std::move(bad), succ);
-                    return res;
-                }
-
-                const std::uint64_t key = canonicalKey(mc, succ);
-                res.edgeFingerprint += mix64(
-                    nodes[cur].key ^ mix64(key ^ eventCode(ev)));
-                if (!visited.find(key)) {
-                    if (nodes.size() >= cfg.maxNodes) {
-                        res.nodes = nodes.size();
-                        return res;   // capped: complete stays false
-                    }
-                    Node n;
-                    n.state = succ;
-                    n.key = key;
-                    n.depth = cur_depth + 1;
-                    n.parent = cur;
-                    n.via = std::move(step);
-                    visited[key] =
-                        static_cast<std::uint32_t>(nodes.size());
-                    frontier.push_back(nodes.size());
-                    res.nodeFingerprint += mix64(key);
-                    nodes.push_back(std::move(n));
-                }
-            } while (odo.advance());
-        }
-    }
-
-    res.nodes = nodes.size();
-    res.complete = true;
-    return res;
+    return detail::bfsExplore<ExploreResult>(
+        cfg.model, cfg.maxNodes, initialState, stepModel,
+        checkInvariants, canonicalKey, legalEvents);
 }
 
 } // namespace mc

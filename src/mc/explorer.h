@@ -17,6 +17,7 @@
  * breadth-first, the first violation found is at minimal depth, and the
  * parent chain yields a minimal-length counterexample trace whose
  * recorded choice stream replays through the real engine (replay.h).
+ * The search loop itself is mc/bfs.h, shared with mc::exploreHier.
  */
 
 #ifndef FBSIM_MC_EXPLORER_H_
@@ -52,7 +53,8 @@ class OdoFeed : public ChoiceFeed
         return tape_[pos_++].idx;
     }
 
-    /** Next combination; false when the space is exhausted. */
+    /** Next combination; false when the space is exhausted, which
+     *  leaves the tape empty and the feed ready for another event. */
     bool
     advance()
     {

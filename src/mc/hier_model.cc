@@ -1,10 +1,7 @@
 #include "mc/hier_model.h"
 
-#include <deque>
-
-#include "common/flat_map.h"
 #include "common/logging.h"
-#include "mc/explorer.h"
+#include "mc/bfs.h"
 
 namespace fbsim {
 namespace mc {
@@ -79,17 +76,6 @@ class HierExec
     std::uint8_t &rshared(std::size_t k, std::size_t l)
     { return st_.remoteShared[k * cfg_.base.lines + l]; }
 
-    /** Mirror of SnoopingCache::kindFiltered for copy-back caches. */
-    void
-    kindFiltered(const LocalCell &cell, std::vector<LocalAction> &out)
-    {
-        out.clear();
-        for (const LocalAction &a : cell) {
-            if (a.kinds & kindBit(ClientKind::CopyBack))
-                out.push_back(a);
-        }
-    }
-
     /** Mirror of SnoopingCache::dispatchLocal. */
     Word
     dispatchLocal(std::size_t c, std::size_t l, LocalEvent ev,
@@ -97,9 +83,9 @@ class HierExec
     {
         fbsim_assert(depth < 3);
         State s = cp(c, l).s;
-        std::vector<LocalAction> cands;
-        kindFiltered(cfg_.base.tables[c]->local(s, ev), cands);
-        if (cands.empty()) {
+        const LocalCell &cell = cfg_.base.tables[c]->local(s, ev);
+        const std::size_t n = copyBackAlternatives(cell);
+        if (n == 0) {
             if (ev == LocalEvent::Pass || ev == LocalEvent::Flush)
                 return 0;
             fail(strprintf("MC-hier: %s cache %zu: no legal action for "
@@ -109,8 +95,8 @@ class HierExec
                            std::string(localEventName(ev)).c_str()));
             return 0;
         }
-        const LocalAction &action = cands[pick(c, cands.size())];
-        return executeLocal(c, l, action, ev, depth);
+        return executeLocal(c, l, copyBackAlternative(cell, pick(c, n)),
+                            ev, depth);
     }
 
     /** Mirror of SnoopingCache::executeLocal. */
@@ -443,7 +429,7 @@ class HierExec
                 continue;
             }
             DownOutcome d =
-                downForward(j, l, *ev, cmd, sig, ch_hint, wdata);
+                downForward(j, l, *ev, cmd, ch_hint, wdata);
             if (!result_.ok)
                 return out;
             // Did the down-forward clear the cluster?  A
@@ -504,7 +490,7 @@ class HierExec
      */
     DownOutcome
     downForward(std::size_t j, std::size_t l, BusEvent ev, BusCmd cmd,
-                const MasterSignals &sig, bool ch_hint, Word wdata)
+                bool ch_hint, Word wdata)
     {
         DownOutcome out;
         const std::size_t n = cfg_.base.numCaches();
@@ -590,24 +576,6 @@ class HierExec
     Word wval_ = 0;
     StepResult result_;
 };
-
-/** splitmix64 finalizer (same mixing as mc/explorer.cc). */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-eventCode(const ModelEvent &ev)
-{
-    return (static_cast<std::uint64_t>(ev.cache) << 10) |
-           (static_cast<std::uint64_t>(ev.line) << 8) |
-           static_cast<std::uint64_t>(ev.ev);
-}
 
 } // namespace
 
@@ -759,110 +727,9 @@ renderHierStateVector(const HierModelConfig &cfg,
 HierExploreResult
 exploreHier(const HierExploreConfig &cfg)
 {
-    const HierModelConfig &mc = cfg.model;
-    HierExploreResult res;
-
-    struct Node
-    {
-        HierModelState state;
-        std::uint64_t key = 0;
-        std::size_t depth = 0;
-        std::size_t parent = static_cast<std::size_t>(-1);
-        HierTraceStep via;
-    };
-
-    std::vector<Node> nodes;
-    FlatMap64<std::uint32_t> visited;
-    std::deque<std::size_t> frontier;
-
-    Node init;
-    init.state = initialHierState(mc);
-    init.key = canonicalHierKey(mc, init.state);
-    nodes.push_back(init);
-    visited[init.key] = 0;
-    frontier.push_back(0);
-    res.nodeFingerprint += mix64(init.key);
-
-    auto buildCex = [&](std::size_t from, HierTraceStep last,
-                        std::vector<std::string> violations,
-                        const HierModelState &final_state) {
-        HierCounterexample cex;
-        std::vector<const HierTraceStep *> chain;
-        for (std::size_t i = from; i != static_cast<std::size_t>(-1);
-             i = nodes[i].parent) {
-            if (nodes[i].parent != static_cast<std::size_t>(-1))
-                chain.push_back(&nodes[i].via);
-        }
-        for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-            cex.steps.push_back(**it);
-        cex.steps.push_back(std::move(last));
-        cex.violations = std::move(violations);
-        cex.finalState = final_state;
-        return cex;
-    };
-
-    while (!frontier.empty()) {
-        const std::size_t cur = frontier.front();
-        frontier.pop_front();
-        const HierModelState cur_state = nodes[cur].state;
-        const std::size_t cur_depth = nodes[cur].depth;
-        if (cur_depth > res.depth)
-            res.depth = cur_depth;
-
-        for (const ModelEvent &ev : legalHierEvents(mc, cur_state)) {
-            OdoFeed odo;
-            do {
-                odo.rewind();
-                HierModelState succ = cur_state;
-                HierTraceStep step;
-                step.event = ev;
-                StepResult r =
-                    stepHierModel(mc, succ, ev, odo, &step.choices);
-                ++res.edges;
-
-                if (!r.ok) {
-                    res.nodes = nodes.size();
-                    res.counterexample =
-                        buildCex(cur, std::move(step),
-                                 std::move(r.violations), succ);
-                    return res;
-                }
-                std::vector<std::string> bad =
-                    checkHierInvariants(mc, succ);
-                if (!bad.empty()) {
-                    res.nodes = nodes.size();
-                    res.counterexample = buildCex(
-                        cur, std::move(step), std::move(bad), succ);
-                    return res;
-                }
-
-                const std::uint64_t key = canonicalHierKey(mc, succ);
-                res.edgeFingerprint += mix64(
-                    nodes[cur].key ^ mix64(key ^ eventCode(ev)));
-                if (!visited.find(key)) {
-                    if (nodes.size() >= cfg.maxNodes) {
-                        res.nodes = nodes.size();
-                        return res;
-                    }
-                    Node n;
-                    n.state = succ;
-                    n.key = key;
-                    n.depth = cur_depth + 1;
-                    n.parent = cur;
-                    n.via = std::move(step);
-                    visited[key] =
-                        static_cast<std::uint32_t>(nodes.size());
-                    frontier.push_back(nodes.size());
-                    res.nodeFingerprint += mix64(key);
-                    nodes.push_back(std::move(n));
-                }
-            } while (odo.advance());
-        }
-    }
-
-    res.nodes = nodes.size();
-    res.complete = true;
-    return res;
+    return detail::bfsExplore<HierExploreResult>(
+        cfg.model, cfg.maxNodes, initialHierState, stepHierModel,
+        checkHierInvariants, canonicalHierKey, legalHierEvents);
 }
 
 } // namespace mc

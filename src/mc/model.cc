@@ -55,17 +55,6 @@ class Exec
     ModelCopy &cp(std::size_t c, std::size_t l)
     { return copyAt(cfg_, st_, c, l); }
 
-    /** Mirror of SnoopingCache::kindFiltered for copy-back caches. */
-    void
-    kindFiltered(const LocalCell &cell, std::vector<LocalAction> &out)
-    {
-        out.clear();
-        for (const LocalAction &a : cell) {
-            if (a.kinds & kindBit(ClientKind::CopyBack))
-                out.push_back(a);
-        }
-    }
-
     /** Mirror of SnoopingCache::dispatchLocal. */
     Word
     dispatchLocal(std::size_t c, std::size_t l, LocalEvent ev,
@@ -73,9 +62,9 @@ class Exec
     {
         fbsim_assert(depth < 3);
         State s = cp(c, l).s;
-        std::vector<LocalAction> cands;
-        kindFiltered(cfg_.tables[c]->local(s, ev), cands);
-        if (cands.empty()) {
+        const LocalCell &cell = cfg_.tables[c]->local(s, ev);
+        const std::size_t n = copyBackAlternatives(cell);
+        if (n == 0) {
             // The paper's "--" cells: Pass/Flush of an unheld (or
             // silently droppable) line is a no-op at the API level.
             if (ev == LocalEvent::Pass || ev == LocalEvent::Flush)
@@ -87,8 +76,8 @@ class Exec
                            std::string(localEventName(ev)).c_str()));
             return 0;
         }
-        const LocalAction &action = cands[pick(c, cands.size())];
-        return executeLocal(c, l, action, ev, depth);
+        return executeLocal(c, l, copyBackAlternative(cell, pick(c, n)),
+                            ev, depth);
     }
 
     /** Mirror of SnoopingCache::executeLocal. */
@@ -361,19 +350,10 @@ legalEvents(const ModelConfig &cfg, const ModelState &st)
         for (std::size_t l = 0; l < cfg.lines; ++l) {
             State s = copyAt(cfg, st, c, l).s;
             for (LocalEvent ev : kAllLocalEvents) {
-                if (ev == LocalEvent::Pass || ev == LocalEvent::Flush) {
-                    // Skip silent no-ops (empty kind-filtered cell).
-                    bool any = false;
-                    for (const LocalAction &a :
-                         cfg.tables[c]->local(s, ev)) {
-                        if (a.kinds & kindBit(ClientKind::CopyBack)) {
-                            any = true;
-                            break;
-                        }
-                    }
-                    if (!any)
-                        continue;
-                }
+                // Skip silent no-ops (empty kind-filtered cell).
+                if ((ev == LocalEvent::Pass || ev == LocalEvent::Flush) &&
+                    copyBackAlternatives(cfg.tables[c]->local(s, ev)) == 0)
+                    continue;
                 out.push_back({static_cast<std::uint8_t>(c),
                                static_cast<std::uint8_t>(l), ev});
             }

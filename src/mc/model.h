@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/types.h"
 #include "core/events.h"
 #include "core/protocol_table.h"
@@ -98,6 +99,28 @@ copyAt(const ModelConfig &cfg, const ModelState &st, std::size_t cache,
 
 /** All-invalid, memory-current initial state. */
 ModelState initialState(const ModelConfig &cfg);
+
+/** How many of a local cell's alternatives a copy-back cache may take
+ *  (SnoopingCache::kindFiltered's size, counted in place). */
+inline std::size_t
+copyBackAlternatives(const LocalCell &cell)
+{
+    std::size_t n = 0;
+    for (const LocalAction &a : cell)
+        n += (a.kinds & kindBit(ClientKind::CopyBack)) != 0;
+    return n;
+}
+
+/** The k-th copy-back alternative of `cell`, k < copyBackAlternatives. */
+inline const LocalAction &
+copyBackAlternative(const LocalCell &cell, std::size_t k)
+{
+    for (const LocalAction &a : cell) {
+        if ((a.kinds & kindBit(ClientKind::CopyBack)) && k-- == 0)
+            return a;
+    }
+    fbsim_panic("copy-back alternative out of range");
+}
 
 /** One processor event at one cache and line. */
 struct ModelEvent

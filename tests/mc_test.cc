@@ -106,6 +106,62 @@ TEST(McGolden, IllinoisFingerprint)
     EXPECT_EQ(res.edgeFingerprint, 0xab2952b69e607678ull);
 }
 
+// The deep graphs: the nightly mc-deep set, every protocol at 4 caches
+// x 2 lines plus the four compatible 3-cache mixes at 2 lines.  One row
+// per exploration; the values were recorded before the explorer's BFS
+// loop was rewritten and must never move with the loop's mechanics.
+TEST(McGolden, DeepGraphs)
+{
+    using K = ProtocolKind;
+    struct Row
+    {
+        std::vector<K> tables;
+        std::size_t nodes, edges, depth;
+        std::uint64_t nodeFp, edgeFp;
+    };
+    auto four = [](K k) { return std::vector<K>(4, k); };
+    const Row rows[] = {
+        {four(K::Moesi), 8464, 493856, 8, 0x2aeb01d6f656b882ull,
+         0xc925dbd3f58aa244ull},
+        {four(K::Berkeley), 2704, 59072, 8, 0x92e4bd57363cd4d4ull,
+         0x09bd2be3c48ad3a1ull},
+        {four(K::Dragon), 8464, 186208, 8, 0x2aeb01d6f656b882ull,
+         0x2b28c071125b303eull},
+        {four(K::WriteOnce), 576, 14592, 8, 0xbd713e735366a0a5ull,
+         0xe3f19b2adab56d1aull},
+        {four(K::Illinois), 576, 11328, 8, 0xbd713e735366a0a5ull,
+         0xa7795283deb2d106ull},
+        {four(K::Firefly), 576, 11328, 8, 0xbd713e735366a0a5ull,
+         0x8ef4e8ae52b019c6ull},
+        {{K::Moesi, K::Berkeley, K::Dragon}, 1225, 29680, 6,
+         0xc249ffb5f042da3full, 0x08525c1620880fcfull},
+        {{K::Moesi, K::Illinois, K::Firefly}, 529, 12558, 6,
+         0xc9af7fce22abb05aull, 0xa51d1b93052d6016ull},
+        {{K::Berkeley, K::Dragon, K::Illinois}, 676, 12740, 6,
+         0x100b97115f89911eull, 0x4f3c45a3555eefcbull},
+        {{K::Illinois, K::Firefly, K::Moesi}, 529, 12558, 6,
+         0x275a90a38dfcd2f1ull, 0x92eb1e5a7513fe86ull},
+    };
+    for (const Row &row : rows) {
+        mc::ExploreConfig cfg;
+        std::string name;
+        for (K kind : row.tables) {
+            cfg.model.tables.push_back(&protocolTable(kind));
+            name += std::string(protocolKindName(kind)) + " ";
+        }
+        cfg.model.lines = 2;
+        mc::ExploreResult res = mc::explore(cfg);
+        SCOPED_TRACE(name + "x2");
+        ASSERT_TRUE(res.complete);
+        EXPECT_FALSE(res.counterexample);
+        EXPECT_EQ(res.nodes, row.nodes);
+        EXPECT_EQ(res.edges, row.edges);
+        EXPECT_EQ(res.depth, row.depth);
+        EXPECT_EQ(res.nodeFingerprint, row.nodeFp);
+        EXPECT_EQ(res.edgeFingerprint, row.edgeFp);
+    }
+}
+
 // A deliberately corrupted Illinois table: S on a local write silently
 // jumps to M without any bus transaction (the classic forgotten
 // invalidate).  The checker must find it, the counterexample must be

@@ -174,7 +174,8 @@ TEST(TransactionLogTest, AbortsAreAnnotated)
     sys->bus().addTraceSink(&log);
     sys->write(0, 0x100, 1);
     sys->read(1, 0x100);   // BS abort, push, retry
-    EXPECT_NE(log.render().find("aborts"), std::string::npos);
+    EXPECT_NE(log.render().find(" (1 aborts) "), std::string::npos)
+        << log.render();
     EXPECT_NE(log.render().find("Push"), std::string::npos);
 }
 

@@ -159,103 +159,16 @@ BM_EngineThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_EngineThroughput)->Arg(2)->Arg(8)->Arg(32);
 
-/** Engine throughput pinned to one ordering mode. */
-void
-engineThroughputOrdered(benchmark::State &state, EngineOrdering ordering)
-{
-    std::size_t procs = state.range(0);
-    Arch85Params params;
-    std::uint64_t total = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        ProtocolSetup setup;
-        auto sys = makeSystem(setup, procs);
-        auto streams = makeArch85Streams(params, procs, 3);
-        std::vector<RefStream *> raw;
-        for (auto &s : streams)
-            raw.push_back(s.get());
-        state.ResumeTiming();
-        EngineConfig cfg;
-        cfg.ordering = ordering;
-        Engine engine(*sys, cfg);
-        engine.run(raw, 2000);
-        total += 2000 * procs;
-    }
-    state.SetItemsProcessed(total);
-}
-
 /**
- * The reference point for the speculative loop: the plain interleaved
- * scheduler, whose results the strict speculative mode reproduces
- * byte-for-byte.  The speculative/interleaved pair on the same
- * workload is the honest speedup measurement - same semantics, same
- * per-read verification, different execution strategy.
+ * The producer-consumer shape of experiment P2 under the invalidating
+ * MOESI policy: one producer streams writes over a four-line buffer
+ * that the other processors read, so every producer write invalidates
+ * the consumers' copies.  The Arch85 rows are mostly private hits;
+ * this one guards the engine on shared data, where the bus, snoop
+ * fan-out and interventions carry the work.
  */
 void
-BM_InterleavedEngineThroughput(benchmark::State &state)
-{
-    engineThroughputOrdered(state, EngineOrdering::Interleaved);
-}
-BENCHMARK(BM_InterleavedEngineThroughput)->Arg(8);
-
-/**
- * Strict speculative post-grant execution: runs of provable local
- * hits batch-execute between bus transactions and commit at the next
- * serialization point, with epoch rollback on snoop conflicts.
- */
-void
-BM_SpeculativeEngineThroughput(benchmark::State &state)
-{
-    engineThroughputOrdered(state, EngineOrdering::Strict);
-}
-BENCHMARK(BM_SpeculativeEngineThroughput)->Arg(8)->Arg(32);
-
-/**
- * Adversarial rollback storm: every processor ping-pongs over the
- * same four hot lines under an invalidating protocol (Berkeley), so
- * speculated hit runs are constantly killed by foreign write
- * invalidations and replayed.  Guards the rollback path's worst case:
- * speculation must not fall off a cliff when conflicts dominate.
- */
-void
-BM_SpeculativeRollbackStorm(benchmark::State &state)
-{
-    const std::size_t procs = state.range(0);
-    std::uint64_t total = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        ProtocolSetup setup;
-        setup.protocol = ProtocolKind::Berkeley;
-        auto sys = makeSystem(setup, procs);
-        std::vector<std::unique_ptr<RefStream>> streams;
-        std::vector<RefStream *> raw;
-        for (std::size_t p = 0; p < procs; ++p) {
-            streams.push_back(std::make_unique<PingPongWorkload>(
-                32, 4, p, p + 11, 2));
-            raw.push_back(streams.back().get());
-        }
-        state.ResumeTiming();
-        EngineConfig cfg;
-        cfg.ordering = EngineOrdering::Strict;
-        Engine engine(*sys, cfg);
-        engine.run(raw, 2000);
-        total += 2000 * procs;
-    }
-    state.SetItemsProcessed(total);
-}
-BENCHMARK(BM_SpeculativeRollbackStorm)->Arg(8);
-
-/**
- * The speculation cliff shape of experiment P2: one producer streams
- * writes over a four-line buffer that the other processors read,
- * under the invalidating MOESI policy.  Every producer write kills
- * the consumers' long runs of read hits; an unbounded speculation
- * window replays each run in full (3,323 replayed refs per committed
- * ref).  The rollback storm above shares lines symmetrically and so
- * never showed it; this row guards the adaptive window bound.
- */
-void
-BM_SpeculativeProducerConsumer(benchmark::State &state)
+BM_ProducerConsumerInvalidate(benchmark::State &state)
 {
     const std::size_t procs = state.range(0);
     const std::uint64_t refs = 8000;
@@ -274,16 +187,14 @@ BM_SpeculativeProducerConsumer(benchmark::State &state)
             raw.push_back(streams.back().get());
         }
         state.ResumeTiming();
-        EngineConfig cfg;
-        cfg.ordering = EngineOrdering::Strict;
-        Engine engine(*sys, cfg);
+        Engine engine(*sys, {});
         EngineResult result = engine.run(raw, refs);
         benchmark::DoNotOptimize(result);
         total += refs * procs;
     }
     state.SetItemsProcessed(total);
 }
-BENCHMARK(BM_SpeculativeProducerConsumer)->Arg(6);
+BENCHMARK(BM_ProducerConsumerInvalidate)->Arg(6);
 
 /**
  * Engine throughput with the observability layer attached: a
@@ -327,11 +238,12 @@ BM_EngineThroughputInstrumented(benchmark::State &state)
 BENCHMARK(BM_EngineThroughputInstrumented)->Arg(8);
 
 /**
- * Sharded engine throughput: 8 processors with the drain phases
- * partitioned across `shards` pool workers (1 = serial reference
- * point; the pool lives outside the timed region).  Stats are
- * byte-identical at every shard count - see sharded_engine_test -
- * so this only measures wall clock.
+ * Sharded engine throughput: 8 processors under the PerLine window
+ * loop (the only loop that shards) with its drain phases partitioned
+ * across `shards` pool workers (1 = serial reference point; the pool
+ * lives outside the timed region).  Stats are byte-identical at every
+ * shard count - see sharded_engine_test - so this only measures wall
+ * clock.
  */
 void
 BM_ShardedEngineThroughput(benchmark::State &state)
@@ -351,6 +263,7 @@ BM_ShardedEngineThroughput(benchmark::State &state)
             raw.push_back(s.get());
         state.ResumeTiming();
         EngineConfig cfg;
+        cfg.ordering = EngineOrdering::PerLine;
         cfg.shards = shards;
         cfg.pool = shards > 1 ? &pool : nullptr;
         Engine engine(*sys, cfg);

@@ -38,11 +38,9 @@
  * bit-identical for every N).
  *
  * --ordering picks the engine scheduling mode (DESIGN.md §5.17):
- * `strict` (the default) batches provable local hits speculatively but
- * stays byte-identical to `interleaved`; `perline` relaxes cross-line
- * ordering for the fastest replay.  When a mode actually commits
- * speculative batches the sweep table grows spec%/batches/rollbk
- * columns.
+ * `strict` (the default) and `interleaved` both run the interleaved
+ * loop, whose local hits take a fused single-probe path; `perline`
+ * relaxes cross-line ordering for the fastest replay.
  *
  * The --generate mode writes a synthetic Archibald-Baer style trace so
  * the example is runnable with no external data (the paper itself had

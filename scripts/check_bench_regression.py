@@ -24,17 +24,15 @@ import statistics
 import sys
 
 # Rows enforced when no --bench is given.  BM_EngineThroughput/8 is the
-# historical acceptance row (default ordering, which now routes through
-# the speculative post-grant loop); the speculative rows pin the
-# clean-batch fast path, the rollback-storm adversary and the
-# producer-consumer replay cliff (bounded speculation window)
-# separately; BM_McExploreMoesi4x2 pins the model checker's
+# default ordering (Strict: the interleaved loop with its fused hit
+# probe) on the 8-processor Arch85 workload, mostly private hits;
+# BM_ProducerConsumerInvalidate/6 is experiment P2's
+# producer-consumer/invalidate job, where shared writes put the work
+# on the bus; BM_McExploreMoesi4x2 pins the model checker's
 # allocation-free transition loop.
 DEFAULT_GUARDED = [
     "BM_EngineThroughput/8",
-    "BM_SpeculativeEngineThroughput/8",
-    "BM_SpeculativeRollbackStorm/8",
-    "BM_SpeculativeProducerConsumer/6",
+    "BM_ProducerConsumerInvalidate/6",
     "BM_McExploreMoesi4x2",
 ]
 

@@ -106,21 +106,6 @@ struct BusResult
 };
 
 /**
- * One speculation-conflict record: a snooped commit (or abort push)
- * mutated a module's copy of `line`.  `word` >= 0 narrows the
- * mutation to a single captured word (a foreign write absorbed or
- * snarfed with the consistency state unchanged), so speculation on
- * the line's other words stays valid; -1 means the whole line
- * (any state change).
- */
-struct SpecConflict
-{
-    MasterId id = 0;
-    LineAddr line = 0;
-    std::int32_t word = -1;
-};
-
-/**
  * Interface of a module that participates in the broadcast address
  * cycle (every cache; non-caching masters need not register).
  *
@@ -175,17 +160,6 @@ class Snooper
     /** Execute the push for a latched BS response (nested transaction),
      *  then apply the push state. */
     virtual void performAbortPush(const BusRequest &req) = 0;
-
-    /**
-     * Speculation-conflict sink, fanned out by
-     * Bus::setSpecConflictLog (null detaches).  While set, append one
-     * record for every snooped commit or abort push that mutates this
-     * module's observable copy of the line - state change or data
-     * capture.  Modules without local speculation may ignore it (the
-     * default).
-     */
-    virtual void setSpecConflictLog(std::vector<SpecConflict> *log)
-    { (void)log; }
 };
 
 /** Aggregate bus activity counters (one per transaction, not attempt). */
@@ -321,25 +295,6 @@ class Bus
     unsigned maxRetries() const { return maxRetries_; }
 
     /**
-     * Attach a speculation-conflict log (not owned; null detaches).
-     * The bus fans the pointer out to every snooper (including ones
-     * attached later); while set, each snooper appends one (snooper
-     * id, line) pair per snooped commit or abort push that *mutates*
-     * its observable copy - a state change or a data capture - and
-     * stays silent for no-op commits (a sharer answering CH and
-     * keeping its copy).  The speculative engine drains the log after
-     * each transaction to decide which processors' pending hit runs
-     * must roll back.
-     */
-    void
-    setSpecConflictLog(std::vector<SpecConflict> *log)
-    {
-        specConflicts_ = log;
-        for (Snooper *snooper : snoopers_)
-            snooper->setSpecConflictLog(log);
-    }
-
-    /**
      * Take a line-sized buffer from the bus's pool (capacity
      * wordsPerLine(); contents unspecified).  Read results are built
      * in pooled buffers; consumers that keep the data can swap their
@@ -396,8 +351,6 @@ class Bus
     std::vector<std::unique_ptr<AttemptScratch>> scratch_;
     std::vector<std::vector<Word>> linePool_;
     FaultInjector *faults_ = nullptr;  ///< not owned; null = fault-free
-    /** Speculation-conflict sink (not owned; null = detached). */
-    std::vector<SpecConflict> *specConflicts_ = nullptr;
     unsigned depth_ = 0;   ///< nested-push depth guard
 };
 

@@ -170,39 +170,6 @@ class TagStore
     /** Near-replacement test for the section 5.2 refinement. */
     bool nearReplacement(const CacheLine &line) const;
 
-    /** The replacement policy's touch dispatch kind (immutable). */
-    ReplacementPolicy::TouchKind touchKind() const { return touchKind_; }
-
-    /**
-     * Replacement stamp of a resident line (Stamp policies only).
-     * Speculative execution snapshots this before a touch so rollback
-     * can restore the exact recency order.
-     */
-    std::uint64_t
-    stampOf(const CacheLine &line) const
-    {
-        std::size_t idx =
-            static_cast<std::size_t>(&line - lines_.data());
-        return touchStamps_[idx];
-    }
-
-    /** Restore a previously snapshotted replacement stamp. */
-    void
-    restoreStamp(const CacheLine &line, std::uint64_t stamp)
-    {
-        std::size_t idx =
-            static_cast<std::size_t>(&line - lines_.data());
-        touchStamps_[idx] = stamp;
-    }
-
-    /**
-     * Undo the clock advance of one touch() (Stamp policies only).
-     * Rolling back a speculated access restores the touched line's
-     * stamp via restoreStamp() and rewinds the clock here, so a replay
-     * of the same accesses re-issues byte-identical stamps.
-     */
-    void undoTouchClock() { --*touchClock_; }
-
     /** Visit every valid line (for checkers and statistics). */
     void forEachValidLine(
         const std::function<void(const CacheLine &)> &fn) const;

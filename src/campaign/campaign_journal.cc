@@ -17,9 +17,8 @@ constexpr char kMagic[] = "fbsim-campaign-journal";
 // v2: records carry the job's metric snapshot (resumed rows must
 // reproduce the metric blocks byte-identically).  v1 journals fail
 // the header match and are treated as a different campaign's file.
-// v3: records carry the job's SpecStats (the sweep table grows
-// speculation columns when a job speculated, and resumed rows must
-// render them identically).
+// v3: records carry the job's SpecStats (all zero since no engine
+// loop speculates; the record layout is kept).
 // v4: records carry scrubDivergence (hier jobs count bridge-filter
 // entries repaired by the audit-and-scrub pass) and the bridge-site
 // fault counters, and the fingerprint covers the cluster count (a

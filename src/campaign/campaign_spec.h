@@ -287,8 +287,8 @@ struct CampaignResult
     BusStats bus;
     CacheStats cacheTotals;   ///< summed over the job's caches
     FaultStats faults;        ///< zero in fault-free jobs
-    SpecStats speculation;    ///< all-zero unless the job's ordering
-                              ///  routed through the speculative loop
+    SpecStats speculation;    ///< all-zero (no engine loop
+                              ///  speculates; kept for the journal)
 
     /** Per-access violations plus the terminal audit (in order). */
     std::vector<std::string> violations;

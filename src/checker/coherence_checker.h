@@ -231,18 +231,6 @@ class CoherenceChecker : public TraceSink
     /** Total checks performed (for reporting). */
     std::uint64_t checksRun() const { return checksRun_; }
 
-    /**
-     * Pre-size the value oracle for an expected number of distinct
-     * written words.  Purely an allocation hint: the oracle contents
-     * and lookup results are identical with or without it, it only
-     * moves the incremental rehashes to the front of the run.
-     */
-    void reserveOracle(std::size_t expected_words)
-    {
-        oracleSlot_.reserve(expected_words / wordsPerLine_ + 1);
-        oracleWords_.reserve(expected_words);
-    }
-
   private:
     /** One bridge's registered filter probes. */
     struct ClusterFilter

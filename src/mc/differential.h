@@ -77,8 +77,8 @@ struct ShardDiffConfig
     std::size_t refsPerProc = 4000;
     std::uint64_t seed = 1;
     /** Engine ordering mode under test (sharding applies to the
-     *  deferred fast paths; Strict also covers the speculative
-     *  loop's sharded cold round). */
+     *  PerLine window loop; Strict runs the interleaved loop, which
+     *  ignores the shard count). */
     EngineOrdering ordering = EngineOrdering::PerLine;
     /** Shard counts to cross-compare; the first is the reference. */
     std::vector<unsigned> shardCounts = {1, 4};

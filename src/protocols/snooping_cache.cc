@@ -38,9 +38,6 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
     lineShift_ = static_cast<unsigned>(std::countr_zero(lineBytes_));
     memoize_ = chooser_->deterministic();
     plain_ = dynamic_cast<PlainLineStore *>(store_.get());
-    specStamp_ = plain_ != nullptr &&
-                 plain_->tags().touchKind() ==
-                     ReplacementPolicy::TouchKind::Stamp;
     updateFastPath();
     name_ = table_.name();
     if (kind_ == ClientKind::WriteThrough)
@@ -122,63 +119,6 @@ SnoopingCache::updateFastPath()
 }
 
 void
-SnoopingCache::specRollbackTo(std::uint64_t count)
-{
-    TagStore &tags = plain_->tags();
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    fbsim_assert(specUndo_.size() - specUndoHead_ >= count);
-    while (count-- > 0) {
-        SpecUndo &u = specUndo_.back();
-        if (u.write) {
-            // A speculated write required M/E, so no snooped
-            // transaction can have touched the line since (exclusivity
-            // - any snoop hit would have rolled this entry back
-            // first); the restore target is exactly as the write left
-            // it.
-            fbsim_assert(u.line->valid());
-            u.line->data[u.wordIdx] = u.prevWord;
-            if (u.prevState != u.line->state)
-                tags.setState(*u.line, u.prevState);
-            ++writes;
-        } else {
-            ++reads;
-        }
-        if (specStamp_) {
-            tags.restoreStamp(*u.line, u.stamp);
-            tags.undoTouchClock();
-        }
-        specUndo_.pop_back();
-    }
-    stats_.reads -= reads;
-    stats_.readHits -= reads;
-    stats_.writes -= writes;
-    stats_.writeHits -= writes;
-}
-
-void
-SnoopingCache::specDropCommitted(std::uint64_t count)
-{
-    std::size_t h = specUndoHead_ + count;
-    fbsim_assert(h <= specUndo_.size());
-    if (h == specUndo_.size()) {
-        specUndo_.clear();
-        specUndoHead_ = 0;
-        return;
-    }
-    specUndoHead_ = h;
-    // Keep the dead prefix bounded so a long run with a persistent
-    // uncommitted tail cannot grow the log without bound.
-    if (specUndoHead_ >= 1024 &&
-        specUndoHead_ * 2 >= specUndo_.size()) {
-        specUndo_.erase(specUndo_.begin(),
-                        specUndo_.begin() +
-                            static_cast<std::ptrdiff_t>(specUndoHead_));
-        specUndoHead_ = 0;
-    }
-}
-
-void
 SnoopingCache::fillHitPlan(HitPlan &p, bool is_write, State s)
 {
     const LocalMemo &m = localMemoFor(
@@ -189,24 +129,16 @@ SnoopingCache::fillHitPlan(HitPlan &p, bool is_write, State s)
         State ns = m.action.next.resolve(false);
         // A hit that silently drops the line (ns == I) must take the
         // generic path (eviction counting, presence update); a read
-        // that changes state at all is equally out of scope.
-        if (isValid(ns) && (is_write || ns == s)) {
+        // that changes state at all is equally out of scope.  A pure
+        // write must also be silentWrite(), so the timed engine's
+        // fused hit never executes a reference the interleaved
+        // schedule would send to arbitration, whatever the table says.
+        if (isValid(ns) && (is_write ? silentWrite(s) : ns == s)) {
             p.pure = true;
             p.next = ns;
         }
     }
     p.filled = true;
-}
-
-bool
-SnoopingCache::readTransparent(State ns)
-{
-    if (!isValid(ns))
-        return false;
-    const LocalMemo &m = localMemoFor(ns, LocalEvent::Read);
-    return !m.empty && !m.action.usesBus && !m.action.readThenWrite &&
-           !m.action.next.conditional() &&
-           m.action.next.resolve(false) == ns;
 }
 
 AccessOutcome
@@ -770,12 +702,10 @@ SnoopingCache::commit(const BusRequest &req, bool others_ch)
     const SnoopAction &action = pending_.action;
     fbsim_assert(!action.bs);
 
-    bool mutated = false;
     if (req.cmd == BusCmd::WriteWord && (action.di || action.sl)) {
         // Capture the written word: an owner absorbing a foreign write
         // (DI) or a holder snarfing a broadcast (SL).
         line->data[req.wordIdx] = req.wdata;
-        mutated = true;
         if (action.di)
             ++stats_.writeCaptures;
         else
@@ -783,24 +713,6 @@ SnoopingCache::commit(const BusRequest &req, bool others_ch)
     }
 
     State ns = action.next.resolve(others_ch);
-    // Speculation conflict: only a commit that changes this copy's
-    // observable contents can invalidate a pending hit run.  A no-op
-    // commit (a sharer answering CH and keeping state and data) leaves
-    // replayed hits byte-identical, so it stays silent.  A captured
-    // foreign write with the state unchanged mutates exactly one word,
-    // so the record carries that word and speculation on the line's
-    // other words survives.  A pure downgrade (foreign read demoting
-    // M->O or E->S) keeps the data and still serves pure read hits, so
-    // standing read runs replay byte-identically and no record is
-    // needed; speculated writes on this line cannot be outstanding
-    // (the engine rolls them back before executing the transaction).
-    if (specLog_) {
-        if (ns != line->state && !readTransparent(ns))
-            specLog_->push_back({id_, req.line, -1});
-        else if (mutated)
-            specLog_->push_back(
-                {id_, req.line, static_cast<std::int32_t>(req.wordIdx)});
-    }
     if (coverage_) {
         std::optional<BusEvent> ev = classifyBusEvent(req.cmd, req.sig);
         if (ev.has_value())
@@ -842,9 +754,6 @@ SnoopingCache::performAbortPush(const BusRequest &req)
         if (ev.has_value())
             coverage_->noteSnoop(line->state, *ev, p.action.pushState);
     }
-    if (specLog_ && p.action.pushState != line->state &&
-        !readTransparent(p.action.pushState))
-        specLog_->push_back({id_, req.line, -1});
     setLineState(*line, p.action.pushState);
 }
 

@@ -92,9 +92,6 @@ class SnoopingCache : public BusClient, public Snooper
     void supplyLine(const BusRequest &req, std::span<Word> out) override;
     void commit(const BusRequest &req, bool others_ch) override;
     void performAbortPush(const BusRequest &req) override;
-    void
-    setSpecConflictLog(std::vector<SpecConflict> *log) override
-    { specLog_ = log; }
 
     // Inspection (tests, checker, explorer).
     const ProtocolTable &table() const { return table_; }
@@ -170,6 +167,16 @@ class SnoopingCache : public BusClient, public Snooper
      */
     std::optional<LineAddr> corruptRandomBit(Rng &rng);
 
+    /** True when a write to a line in state `s` completes without the
+     *  bus: copy-back M or E.  The one definition both the timed
+     *  engine's classification (System::wouldUseBus) and the fused
+     *  write hit plans use. */
+    bool silentWrite(State s) const
+    {
+        return kind_ != ClientKind::WriteThrough &&
+               (s == State::M || s == State::E);
+    }
+
     /** Current state of the line containing `addr` (I if absent).
      *  Answered from the store's packed tag/state arrays: the timed
      *  engine classifies every reference through here, so the probe
@@ -238,125 +245,6 @@ class SnoopingCache : public BusClient, public Snooper
         tags.touch(*l);
         return true;
     }
-
-    /** Section 5.2 near-replacement discard refinement enabled?  Such
-     *  a cache's snoop commits depend on replacement recency, which
-     *  speculation perturbs, so the engine excludes it. */
-    bool discardsNearReplacement() const
-    { return discardNearReplacement_; }
-
-    /**
-     * True when the engine may run this cache speculatively: the
-     * devirtualized hit path is armed, snoop behaviour is independent
-     * of replacement recency (no near-replacement discard), and the
-     * replacement policy's touch is undoable (Noop, or the stamp
-     * table + clock which rollback restores exactly; Custom policies
-     * like PLRU mutate opaque state).
-     */
-    bool
-    specEligible() const
-    {
-        return fastLocal_ && !discardNearReplacement_ &&
-               plain_ != nullptr &&
-               plain_->tags().touchKind() !=
-                   ReplacementPolicy::TouchKind::Custom;
-    }
-
-    /**
-     * Speculative counterparts of tryLocalRead/tryLocalWrite: same
-     * classification, same execution, plus one undo-log entry so the
-     * access can be rolled back (specRollbackTo) or made permanent
-     * (specDropCommitted).  Entries are strictly one per successful
-     * call, in call order, so the engine addresses them by count
-     * alone.  Hit counters are NOT bumped here - the engine batches
-     * them through specCountHits() once per drained run.  Callers must
-     * check specEligible() first.
-     */
-    bool
-    specLocalRead(Addr addr, Word &out)
-    {
-        TagStore &tags = plain_->tags();
-        CacheLine *l = tags.find(lineOf(addr));
-        if (l == nullptr)
-            return false;
-        HitPlan &p = readHit_[static_cast<int>(l->state)];
-        if (!p.filled)
-            fillHitPlan(p, false, l->state);
-        if (!p.pure)
-            return false;
-        out = l->data[wordIndexOf(addr)];
-        SpecUndo &u = specUndo_.emplace_back();
-        u.line = l;
-        u.write = false;
-        if (specStamp_) {
-            u.stamp = tags.stampOf(*l);
-            tags.touch(*l);
-        }
-        return true;
-    }
-
-    /** Write counterpart of specLocalRead(). */
-    bool
-    specLocalWrite(Addr addr, Word value)
-    {
-        TagStore &tags = plain_->tags();
-        CacheLine *l = tags.find(lineOf(addr));
-        if (l == nullptr)
-            return false;
-        HitPlan &p = writeHit_[static_cast<int>(l->state)];
-        if (!p.filled)
-            fillHitPlan(p, true, l->state);
-        if (!p.pure)
-            return false;
-        std::size_t w = wordIndexOf(addr);
-        SpecUndo &u = specUndo_.emplace_back();
-        u.line = l;
-        u.write = true;
-        u.wordIdx = static_cast<std::uint32_t>(w);
-        u.prevWord = l->data[w];
-        u.prevState = l->state;
-        if (specStamp_)
-            u.stamp = tags.stampOf(*l);
-        l->data[w] = value;
-        if (p.next != l->state)
-            tags.setState(*l, p.next);
-        if (specStamp_)
-            tags.touch(*l);
-        return true;
-    }
-
-    /**
-     * Bulk stats for a drained run of speculated hits.  specLocalRead
-     * and specLocalWrite leave the hit counters alone so the drain
-     * loop pays no per-reference increments; the engine adds the run's
-     * totals here once per drain.  specRollbackTo still recounts per
-     * popped entry, which stays consistent because the bulk add
-     * covered every successful call.
-     */
-    void
-    specCountHits(std::uint64_t reads, std::uint64_t writes)
-    {
-        stats_.reads += reads;
-        stats_.readHits += reads;
-        stats_.writes += writes;
-        stats_.writeHits += writes;
-    }
-
-    /**
-     * Roll back the newest `count` speculated accesses, newest first:
-     * restore the written word, consistency state and replacement
-     * stamp, rewind the touch clock, and recount stats.  After the
-     * call a replay of the same accesses reproduces byte-identical
-     * cache state (data, states, stamps, clock).
-     */
-    void specRollbackTo(std::uint64_t count);
-
-    /**
-     * Make the oldest `count` outstanding speculated accesses
-     * permanent (drop their undo entries).  Called at each
-     * serialization point for the committed prefix.
-     */
-    void specDropCommitted(std::uint64_t count);
 
   private:
     /** Dispatch one local event on the line's current state. */
@@ -427,11 +315,6 @@ class SnoopingCache : public BusClient, public Snooper
     };
     void fillLocalMemo(LocalMemo &m, State s, LocalEvent ev);
 
-    // True when a snooped state change to `ns` is invisible to an
-    // outstanding run of speculated read hits: the line stays valid,
-    // data is untouched by the caller, and the table still serves a
-    // pure (stateless, busless) read hit from `ns`.
-    bool readTransparent(State ns);
     void fillSnoopMemo(SnoopMemo &m, State s, BusEvent ev);
 
     /**
@@ -546,31 +429,6 @@ class SnoopingCache : public BusClient, public Snooper
         CacheLine *line = nullptr;
     };
     Pending pending_;
-
-    /**
-     * One speculated access pending commit or rollback.  Entries are
-     * appended in increasing `idx` order; rollback pops a suffix,
-     * commit advances a head cursor past a prefix, so the live window
-     * is contiguous.  Line pointers stay exact across the window: no
-     * frame is installed or evicted while speculation is outstanding
-     * (local hits never allocate, snooped transactions never install,
-     * and a cache executes a bus access only with an empty window).
-     */
-    struct SpecUndo
-    {
-        CacheLine *line = nullptr;
-        std::uint64_t stamp = 0;   ///< pre-touch replacement stamp
-        Word prevWord = 0;         ///< writes: overwritten word
-        std::uint32_t wordIdx = 0; ///< writes: word within the line
-        bool write = false;
-        State prevState = State::I; ///< writes: pre-access state
-    };
-    std::vector<SpecUndo> specUndo_;
-    std::size_t specUndoHead_ = 0;
-    /** Replacement touches stamp (vs Noop), latched at construction. */
-    bool specStamp_ = false;
-    /** Speculation-conflict sink (Bus fan-out; not owned). */
-    std::vector<SpecConflict> *specLog_ = nullptr;
 };
 
 } // namespace fbsim

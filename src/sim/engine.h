@@ -32,15 +32,14 @@ class TraceSink;
 /**
  * How the engine orders references relative to bus transactions.
  *
- * Strict is the default: the speculative batch loop whose observable
- * outcome (EngineResult, cache/bus/checker state, violation strings)
- * is byte-identical to the classic interleaved loop - speculation is
- * purely an execution strategy.  PerLine relaxes that to the window
- * discipline, which retains only per-line ordering (each line still
- * sees its accesses in a legal serialization; the global interleaving
- * differs) - validated against the src/mc differential oracle rather
- * than bit-exactly.  Interleaved forces the classic loop (the
- * reference semantics both other modes are measured against).
+ * Strict is the default and means interleaved semantics: it runs the
+ * interleaved loop, whose plain-path hits take the fused single-probe
+ * path (SnoopingCache::tryLocalRead/Write).  Interleaved is an
+ * explicit alias for the same loop.  PerLine relaxes the order to the
+ * window discipline, which retains only per-line ordering (each line
+ * still sees its accesses in a legal serialization; the global
+ * interleaving differs) - validated against the src/mc differential
+ * oracle rather than bit-exactly.
  */
 enum class EngineOrdering : std::uint8_t
 {
@@ -50,10 +49,11 @@ enum class EngineOrdering : std::uint8_t
 };
 
 /**
- * Speculation observability: deterministic counters and log2
- * histograms in the simulation domain (two runs of one seed produce
- * equal contents).  Lives outside EngineResult so the byte-identity
- * contract of EngineResult::operator== is untouched.
+ * Speculation counters: deterministic counters and log2 histograms in
+ * the simulation domain.  No engine loop speculates any more, so every
+ * field reads zero; the struct stays because campaign results, the
+ * journal format and benchmark reports carry it.  Lives outside
+ * EngineResult so EngineResult::operator== is untouched.
  */
 struct SpecStats
 {
@@ -115,9 +115,9 @@ struct EngineConfig
      * byte-identical at every shard count - the drain work is
      * per-processor independent and its oracle bookkeeping is merged
      * in processor order at each serialization point.  Takes effect
-     * only on the deferred fast path (fault-free, no per-access
-     * checking); elsewhere the engine ignores it and runs the classic
-     * interleaved loop.  1 = serial (the default).
+     * only in the PerLine window loop on the plain access path
+     * (fault-free, no per-access checking); elsewhere the engine
+     * ignores it.  1 = serial (the default).
      */
     unsigned shards = 1;
     /** Worker pool for shards > 1 (not owned; null = serial). */
@@ -134,13 +134,12 @@ struct EngineConfig
     TraceSink *trace = nullptr;
     /**
      * Reference-vs-transaction ordering discipline; see
-     * EngineOrdering.  Strict and PerLine take effect only on the
-     * plain access path with eligible caches; anything else falls
-     * back to the interleaved loop, whose semantics both represent.
+     * EngineOrdering.  PerLine takes effect only on the plain access
+     * path; every other run uses the interleaved loop.
      */
     EngineOrdering ordering = EngineOrdering::Strict;
-    /** Speculation counters sink (not owned; null = detached).  Only
-     *  the speculative strict loop writes it. */
+    /** Speculation counters sink (not owned; null = detached).  No
+     *  loop writes it; see SpecStats. */
     SpecStats *specStats = nullptr;
     /**
      * Functional access log sink (not owned; null = detached).  Every
@@ -238,11 +237,13 @@ class Engine
 
   private:
     /**
-     * Classic loop: one global readyAt scan per reference, every
-     * access through the full System wrapper.  Used whenever the
-     * system needs per-access machinery (fault injection, per-access
-     * checking, scheduled reintegrations), whose observable behaviour
-     * depends on the exact global access order.
+     * Classic loop: one global readyAt scan per reference.  On the
+     * plain access path a cache with the devirtualized hit path tries
+     * each reference through the fused probe first; everything else -
+     * misses, and every access while per-access machinery (fault
+     * injection, per-access checking, scheduled reintegrations) is
+     * armed - goes through the full System wrapper, whose observable
+     * behaviour depends on the exact global access order.
      */
     EngineResult runInterleaved(const std::vector<RefStream *> &streams,
                                 std::uint64_t refs_per_proc,
@@ -261,23 +262,6 @@ class Engine
     EngineResult runWindowed(const std::vector<RefStream *> &streams,
                              std::uint64_t refs_per_proc,
                              const RunControl *control);
-
-    /**
-     * Strict-mode speculative loop: between bus transactions every
-     * processor batch-executes its run of provable local hits ahead
-     * of the global order, with a bounded undo log per cache; at each
-     * serialization point the prefix preceding the transaction (in
-     * the interleaved functional order) commits and conflicting
-     * suffixes roll back and replay.  Observable outcome is
-     * byte-identical to runInterleaved.  Requires every client to be
-     * a speculation-eligible cache (SnoopingCache::specEligible).
-     */
-    EngineResult runSpeculative(const std::vector<RefStream *> &streams,
-                                std::uint64_t refs_per_proc,
-                                const RunControl *control);
-
-    /** True when runSpeculative may serve this system. */
-    bool specEligible() const;
 
     System &system_;
     EngineConfig config_;

@@ -313,10 +313,9 @@ System::wouldUseBus(MasterId id, bool is_write, Addr addr) const
     State s = cache->lineState(addr);
     if (!is_write)
         return s == State::I;
-    if (cache->kind() == ClientKind::WriteThrough)
-        return true;   // every write goes through
-    // Copy-back: M and E writes are silent; O, S and I need the bus.
-    return !(s == State::M || s == State::E);
+    // Write-through writes always go through; copy-back M and E
+    // writes are silent; O, S and I need the bus.
+    return !cache->silentWrite(s);
 }
 
 std::vector<std::string>

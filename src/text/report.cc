@@ -226,18 +226,6 @@ renderCampaignTable(const CampaignReport &report)
             break;
         }
     }
-    // Same idea for the speculation columns: they appear only when
-    // some job's ordering actually speculated - committed a batch or
-    // rolled one back (a job whose speculation all rolled back commits
-    // none) - so interleaved/per-line campaigns render exactly as
-    // before.
-    bool speculative = false;
-    for (const CampaignResult &r : report.results) {
-        if (r.speculation.batches > 0 || r.speculation.rollbacks > 0) {
-            speculative = true;
-            break;
-        }
-    }
 
     out += strprintf("%-5s %-24s", "job", "mix");
     if (geom)
@@ -250,8 +238,6 @@ renderCampaignTable(const CampaignReport &report)
         out += strprintf(" %-12s", "fault");
     out += strprintf(" %7s %7s %7s %8s %6s %6s", "util", "busutil",
                      "miss%", "cyc/ref", "fair", "viol");
-    if (speculative)
-        out += strprintf(" %6s %8s %6s", "spec%", "batches", "rollbk");
     if (supervised)
         out += strprintf(" %-7s %3s", "status", "att");
     out += strprintf(" %s\n", "ok");
@@ -285,18 +271,6 @@ renderCampaignTable(const CampaignReport &report)
                          100.0 * r.missRatio(), r.busCyclesPerRef(),
                          r.engine.busServiceFairness(),
                          r.violations.size());
-        if (speculative) {
-            const std::uint64_t refs = r.totalRefs();
-            out += strprintf(
-                " %5.1f%% %8llu %6llu",
-                refs ? 100.0 *
-                           static_cast<double>(r.speculation.specRefs) /
-                           static_cast<double>(refs)
-                     : 0.0,
-                static_cast<unsigned long long>(r.speculation.batches),
-                static_cast<unsigned long long>(
-                    r.speculation.rollbacks));
-        }
         if (supervised) {
             out += strprintf(" %-7s %3u", jobStatusName(r.status),
                              r.attempts);

@@ -36,8 +36,8 @@ class RefStream
      * Produce the next `n` references into `out`, exactly the
      * sequence n calls to next() would yield.  The default loops
      * next(); generators with a cheap inner loop override it so batch
-     * consumers (the speculative engine) skip the virtual dispatch
-     * per reference.
+     * consumers (the timed engine's interleaved loop, which fetches in
+     * blocks of 64) skip the virtual dispatch per reference.
      */
     virtual void
     nextBatch(ProcRef *out, std::size_t n)

@@ -451,24 +451,5 @@ TEST(CampaignReportTest, TableListsEveryJobAndConsistency)
               std::string::npos);
 }
 
-TEST(CampaignTest, TableShowsRollbacksWithoutCommittedBatches)
-{
-    // Per-access checking keeps these jobs on the interleaved loop, so
-    // the table carries no speculation columns.
-    CampaignSpec spec = tinySpec(1, 1, 0, 1, 0);
-    CampaignReport report = CampaignRunner(1).run(spec);
-    const std::string plain = renderCampaignTable(report);
-    EXPECT_EQ(plain.find("rollbk"), std::string::npos);
-
-    // A job whose speculation was all rolled back commits no batch;
-    // its rollbacks must still show.
-    report.results[0].speculation.rollbacks = 7;
-    report.results[0].speculation.rolledBackRefs = 900;
-    const std::string table = renderCampaignTable(report);
-    EXPECT_NE(table.find("rollbk"), std::string::npos);
-    EXPECT_NE(table.find("0.0%        0      7"), std::string::npos)
-        << table;
-}
-
 } // namespace
 } // namespace fbsim

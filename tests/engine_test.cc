@@ -1,11 +1,17 @@
 /**
  * @file
  * Tests of the timed engine: cycle accounting, utilization metrics,
- * contention behaviour and determinism.
+ * contention behaviour and determinism, and byte-identity of the
+ * interleaved loop's fused hit path against its generic path.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "protocols/factory.h"
+#include "protocols/transition_coverage.h"
 #include "sim/engine.h"
 #include "test_util.h"
 #include "trace/workloads.h"
@@ -162,6 +168,200 @@ TEST(EngineTest, WriteThroughLoadsTheBusMoreThanCopyBack)
     };
     // Section 1/3.1: copy-back cuts the bandwidth requirement.
     EXPECT_GT(bus_util(true), bus_util(false));
+}
+
+/** Everything a run can tell us, for exact comparison. */
+struct Observed
+{
+    EngineResult engine;
+    BusStats bus;
+    std::vector<CacheStats> caches;
+    std::vector<std::string> violations;
+    std::vector<std::string> checkNow;
+    std::vector<EngineAccess> accesses;
+};
+
+/**
+ * Run `streams` on `sys` under `ec` and collect everything.  With
+ * `fast_path` false every cache gets a transition-coverage recorder,
+ * which disarms the devirtualized hit path (fastPathEnabled()), so the
+ * engine and the caches take only the generic table-driven path.
+ */
+Observed
+observe(System &sys, const std::vector<std::unique_ptr<RefStream>> &streams,
+        EngineConfig ec, std::uint64_t refs_per_proc, bool fast_path = true)
+{
+    std::vector<TransitionCoverage> coverage(sys.numClients());
+    for (MasterId id = 0; id < sys.numClients(); ++id) {
+        SnoopingCache *c = sys.cacheOf(id);
+        if (!fast_path)
+            c->setCoverage(&coverage[id]);
+        // A vacuous comparison would pass for the wrong reason.
+        EXPECT_EQ(c->fastPathEnabled(), fast_path);
+    }
+    std::vector<RefStream *> raw;
+    for (const auto &s : streams)
+        raw.push_back(s.get());
+    Observed o;
+    ec.accessLog = &o.accesses;
+    Engine engine(sys, ec);
+    o.engine = engine.run(raw, refs_per_proc);
+    o.bus = sys.bus().stats();
+    for (MasterId id = 0; id < sys.numClients(); ++id)
+        o.caches.push_back(sys.cacheOf(id)->stats());
+    o.violations = sys.violations();
+    o.checkNow = sys.checkNow();
+    return o;
+}
+
+void
+expectIdentical(const Observed &a, const Observed &b)
+{
+    EXPECT_EQ(a.engine, b.engine);
+    EXPECT_EQ(a.bus, b.bus);
+    EXPECT_EQ(a.caches, b.caches);
+    EXPECT_EQ(a.violations, b.violations);
+    EXPECT_EQ(a.checkNow, b.checkNow);
+    EXPECT_EQ(a.accesses, b.accesses);
+}
+
+/** One timed run of an Arch85 workload over the given protocol mix. */
+Observed
+runArch85(const std::vector<ProtocolKind> &mix, bool fast_path)
+{
+    System sys(timedConfig());
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+        CacheSpec cs = test::smallCache(mix[i]);
+        cs.numSets = 16;
+        cs.assoc = 2;
+        cs.seed = i + 1;
+        sys.addCache(cs);
+    }
+    Arch85Params params;
+    return observe(sys, makeArch85Streams(params, mix.size(), 7), {}, 1500,
+                   fast_path);
+}
+
+const std::vector<std::vector<ProtocolKind>> kMixes = {
+    {ProtocolKind::Moesi, ProtocolKind::Moesi, ProtocolKind::Moesi,
+     ProtocolKind::Moesi},
+    {ProtocolKind::Berkeley, ProtocolKind::Berkeley,
+     ProtocolKind::Berkeley, ProtocolKind::Berkeley},
+    {ProtocolKind::Dragon, ProtocolKind::Dragon, ProtocolKind::Dragon,
+     ProtocolKind::Dragon},
+    {ProtocolKind::Illinois, ProtocolKind::Illinois,
+     ProtocolKind::Firefly, ProtocolKind::Firefly},
+    {ProtocolKind::Berkeley, ProtocolKind::Illinois,
+     ProtocolKind::Dragon, ProtocolKind::Moesi},
+};
+
+TEST(EngineTest, FusedHitPathMatchesGenericPath)
+{
+    for (const auto &mix : kMixes) {
+        Observed slow = runArch85(mix, false);
+        ASSERT_GT(slow.bus.transactions, 0u);
+        Observed fast = runArch85(mix, true);
+        expectIdentical(slow, fast);
+    }
+}
+
+/**
+ * Interleaves `inner`'s references with reads that stream through a
+ * private region, all in cache set 0 of the 64-set, 32-byte-line test
+ * caches: every second reference misses, the bus stays contended, and
+ * the reader keeps losing its copy of buffer line 0 (set 0 too), so
+ * it re-reads that line from the producer again and again.
+ */
+class WithPrivateMisses : public RefStream
+{
+  public:
+    WithPrivateMisses(std::unique_ptr<RefStream> inner, std::size_t proc)
+        : inner_(std::move(inner)), base_((Addr{proc} + 1) << 24)
+    {
+    }
+
+    ProcRef
+    next() override
+    {
+        if (n_++ % 2 == 0)
+            return inner_->next();
+        ProcRef r;
+        r.addr = base_ + (n_ % 256) * 64 * 32;
+        return r;
+    }
+
+  private:
+    std::unique_ptr<RefStream> inner_;
+    Addr base_;
+    std::uint64_t n_ = 0;
+};
+
+/** P2's producer-consumer shape: one producer streams writes over a
+ *  four-line buffer that five consumers read, every cache built from
+ *  `base`; `contended` adds a private miss after every consumer
+ *  reference. */
+Observed
+runProducerConsumer(const CacheSpec &base, bool fast_path,
+                    bool contended = false)
+{
+    System sys(timedConfig());
+    const std::size_t procs = 6;
+    std::vector<std::unique_ptr<RefStream>> streams;
+    for (std::size_t p = 0; p < procs; ++p) {
+        CacheSpec cs = base;
+        cs.numSets = 64;
+        cs.assoc = 2;
+        cs.seed = p + 1;
+        sys.addCache(cs);
+        auto pc = std::make_unique<ProducerConsumerWorkload>(
+            32, 4, /*producer=*/p == 0, p + 1);
+        if (contended && p != 0)
+            streams.push_back(
+                std::make_unique<WithPrivateMisses>(std::move(pc), p));
+        else
+            streams.push_back(std::move(pc));
+    }
+    return observe(sys, streams, {}, 8000, fast_path);
+}
+
+TEST(EngineTest, FusedHitPathMatchesGenericPathProducerConsumer)
+{
+    for (MoesiPolicy::SharedWrite sw :
+         {MoesiPolicy::SharedWrite::Invalidate,
+          MoesiPolicy::SharedWrite::Broadcast}) {
+        CacheSpec cs;
+        cs.chooser = ChooserKind::Policy;
+        cs.policy.sharedWrite = sw;
+        Observed slow = runProducerConsumer(cs, false);
+        Observed fast = runProducerConsumer(cs, true);
+        expectIdentical(slow, fast);
+        EXPECT_TRUE(fast.violations.empty());
+    }
+}
+
+TEST(EngineTest, FusedHitPathMatchesGenericPathOnReadMismatch)
+{
+    // A deliberately broken Illinois: a write to a shared line jumps
+    // to M without the bus, so the consumers keep stale copies of the
+    // producer's buffer and read the wrong values.  The generic path
+    // sends that write to arbitration (wouldUseBus says S writes need
+    // the bus); the fused probe must decline it rather than execute
+    // it out of turn, and the oracle must flag the same stale reads
+    // on both paths.
+    ProtocolTable bad = protocolTable(ProtocolKind::Illinois);
+    LocalAction silent_jump;
+    silent_jump.next = toState(State::M);
+    silent_jump.usesBus = false;
+    bad.setLocal(State::S, LocalEvent::Write, {silent_jump});
+
+    CacheSpec cs = test::smallCache(ProtocolKind::Illinois);
+    cs.table = &bad;
+    for (bool contended : {false, true}) {
+        Observed slow = runProducerConsumer(cs, false, contended);
+        Observed fast = runProducerConsumer(cs, true, contended);
+        expectIdentical(slow, fast);
+        EXPECT_FALSE(fast.violations.empty());
+    }
 }
 
 } // namespace

@@ -3,15 +3,16 @@
  * Determinism of the sharded timed engine and the epoch-based bulk
  * invalidation behind it.
  *
- * The engine's drain phases may be partitioned across worker threads
- * (EngineConfig::shards/pool); the contract is that NO observable
- * changes with the shard count - the EngineResult, every cache's
- * counters, the bus counters, the checker's verdicts - because the
- * drained work is per-processor independent and its oracle
- * bookkeeping merges at a deterministic serialization point.  These
- * tests pin that byte-for-byte, across protocol mixes and with fault
- * injection armed (where the engine must fall back to the classic
- * interleaved loop and ignore the shard request entirely).
+ * The PerLine window loop's drain phases may be partitioned across
+ * worker threads (EngineConfig::shards/pool); the contract is that NO
+ * observable changes with the shard count - the EngineResult, every
+ * cache's counters, the bus counters, the checker's verdicts, the
+ * access log - because the drained work is per-processor independent
+ * and its oracle bookkeeping merges at a deterministic serialization
+ * point.  These tests pin that byte-for-byte, across protocol mixes,
+ * under the default Strict ordering (which runs the interleaved loop
+ * and ignores the shard request) and with fault injection armed
+ * (where every ordering must fall back to the interleaved loop).
  */
 
 #include <gtest/gtest.h>
@@ -37,12 +38,14 @@ struct Observed
     std::vector<CacheStats> caches;
     std::vector<std::string> violations;
     std::vector<std::string> checkNow;
+    std::vector<EngineAccess> accesses;
 };
 
 /** One timed run of an Arch85 workload over the given protocol mix. */
 Observed
 runOnce(const std::vector<ProtocolKind> &mix, unsigned shards,
         ThreadPool *pool, bool with_faults,
+        EngineOrdering ordering = EngineOrdering::Strict,
         std::uint64_t refs_per_proc = 1500)
 {
     SystemConfig cfg;
@@ -68,12 +71,14 @@ runOnce(const std::vector<ProtocolKind> &mix, unsigned shards,
     for (auto &s : streams)
         raw.push_back(s.get());
 
+    Observed o;
     EngineConfig ec;
     ec.shards = shards;
     ec.pool = pool;
+    ec.ordering = ordering;
+    ec.accessLog = &o.accesses;
     Engine engine(sys, ec);
 
-    Observed o;
     o.engine = engine.run(raw, refs_per_proc);
     o.bus = sys.bus().stats();
     for (MasterId id = 0; id < sys.numClients(); ++id)
@@ -91,6 +96,7 @@ expectIdentical(const Observed &a, const Observed &b)
     EXPECT_EQ(a.caches, b.caches);
     EXPECT_EQ(a.violations, b.violations);
     EXPECT_EQ(a.checkNow, b.checkNow);
+    EXPECT_EQ(a.accesses, b.accesses);
 }
 
 const std::vector<std::vector<ProtocolKind>> kMixes = {
@@ -135,6 +141,22 @@ TEST(ShardedEngineTest, FaultCampaignsIgnoreShardingIdentically)
     }
 }
 
+TEST(ShardedEngineTest, RelaxedPerLineShardsAreByteIdentical)
+{
+    // The relaxed per-line-order mode is the loop that actually
+    // shards its drains: shard counts must not change anything it
+    // observes either.
+    for (const auto &mix : kMixes) {
+        Observed serial =
+            runOnce(mix, 1, nullptr, false, EngineOrdering::PerLine);
+        ASSERT_GT(serial.bus.transactions, 0u);
+        ThreadPool pool(4);
+        Observed sharded =
+            runOnce(mix, 4, &pool, false, EngineOrdering::PerLine);
+        expectIdentical(serial, sharded);
+    }
+}
+
 TEST(ShardedEngineTest, DeadlineFiresInsideShardedDrain)
 {
     SystemConfig cfg;
@@ -153,6 +175,7 @@ TEST(ShardedEngineTest, DeadlineFiresInsideShardedDrain)
 
     ThreadPool pool(4);
     EngineConfig ec;
+    ec.ordering = EngineOrdering::PerLine;
     ec.shards = 4;
     ec.pool = &pool;
     Engine engine(sys, ec);

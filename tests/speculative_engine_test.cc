@@ -1,17 +1,18 @@
 /**
  * @file
- * Byte-identity of the speculative post-grant execution engine.
+ * Byte-identity of Strict ordering with the interleaved scheduler.
  *
- * Strict ordering promises interleaved *semantics*: the speculative
- * loop batches provable local hits between bus transactions, commits
- * them at serialization points and rolls back on snoop conflicts, but
- * NOTHING observable may change versus the classic interleaved
- * scheduler - the EngineResult, every cache's counters, the bus
- * counters, the checker's verdicts and the functional access log.
- * These tests pin that byte-for-byte across protocol mixes, with
- * fault injection armed (where the engine must fall back to the
- * interleaved loop entirely), through forced mid-batch rollbacks and
- * through the bounded window's commits.
+ * Strict ordering promises interleaved *semantics*: NOTHING observable
+ * may change versus the classic interleaved scheduler - the
+ * EngineResult, every cache's counters, the bus counters, the
+ * checker's verdicts and the functional access log.  Strict once ran
+ * a speculative post-grant loop (batched local hits, rollback on snoop
+ * conflicts, a bounded replay window); it now runs the interleaved
+ * loop itself, and the speculation counters (SpecStats) always read
+ * zero.  These tests pin the identity byte-for-byte across protocol
+ * mixes, with fault injection armed, and on the adversarial workloads
+ * that used to force rollbacks and window-full commits, so any future
+ * scheduling shortcut behind Strict is held to the same contract.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "sim/engine.h"
 #include "test_util.h"
 #include "trace/workloads.h"
@@ -100,9 +100,23 @@ expectIdentical(const Observed &a, const Observed &b)
     EXPECT_EQ(a.accesses, b.accesses);
 }
 
+/** No loop speculates any more: every counter must stay zero. */
+void
+expectNoSpeculation(const SpecStats &spec)
+{
+    EXPECT_EQ(spec.batches, 0u);
+    EXPECT_EQ(spec.specRefs, 0u);
+    EXPECT_EQ(spec.rollbacks, 0u);
+    EXPECT_EQ(spec.rolledBackRefs, 0u);
+}
+
 const std::vector<std::vector<ProtocolKind>> kMixes = {
+    {ProtocolKind::Moesi, ProtocolKind::Moesi, ProtocolKind::Moesi,
+     ProtocolKind::Moesi},
     {ProtocolKind::Berkeley, ProtocolKind::Berkeley,
      ProtocolKind::Berkeley, ProtocolKind::Berkeley},
+    {ProtocolKind::Dragon, ProtocolKind::Dragon, ProtocolKind::Dragon,
+     ProtocolKind::Dragon},
     {ProtocolKind::Illinois, ProtocolKind::Illinois,
      ProtocolKind::Firefly, ProtocolKind::Firefly},
     {ProtocolKind::Berkeley, ProtocolKind::Illinois,
@@ -119,18 +133,15 @@ TEST(SpeculativeEngineTest, StrictMatchesInterleavedByteIdentical)
         Observed strict =
             runArch85(mix, EngineOrdering::Strict, false, &spec);
         expectIdentical(inter, strict);
-        // The comparison must not be vacuous: the strict run has to
-        // actually take the speculative loop and commit real batches.
-        EXPECT_GT(spec.batches, 0u);
-        EXPECT_GT(spec.specRefs, 0u);
+        expectNoSpeculation(spec);
     }
 }
 
 TEST(SpeculativeEngineTest, FaultCampaignsFallBackIdentically)
 {
-    // With an injector armed the access path is not plain, so Strict
-    // must route to the interleaved loop; speculation counters stay
-    // zero and everything matches exactly.
+    // With an injector armed the access path is not plain, so every
+    // access takes the generic System path whatever the ordering;
+    // everything must still match exactly.
     for (const auto &mix : kMixes) {
         Observed inter =
             runArch85(mix, EngineOrdering::Interleaved, true);
@@ -138,17 +149,15 @@ TEST(SpeculativeEngineTest, FaultCampaignsFallBackIdentically)
         Observed strict =
             runArch85(mix, EngineOrdering::Strict, true, &spec);
         expectIdentical(inter, strict);
-        EXPECT_EQ(spec.batches, 0u);
-        EXPECT_EQ(spec.specRefs, 0u);
+        expectNoSpeculation(spec);
     }
 }
 
 /**
- * Forced mid-batch rollback: every processor hammers the same few hot
- * lines under an invalidating protocol, so a speculated run of read
- * hits is regularly killed by a foreign write's invalidation before
- * its serialization point.  The rollback/replay machinery must both
- * actually fire and leave no observable trace.
+ * Ping-pong on a few hot lines under an invalidating protocol: a run
+ * of read hits is regularly killed by a foreign write's invalidation,
+ * the shape that forced mid-batch rollbacks in the speculative loop.
+ * Strict must order every hit exactly as the interleaved loop does.
  */
 Observed
 runPingPong(EngineOrdering ordering, SpecStats *spec)
@@ -181,10 +190,12 @@ TEST(SpeculativeEngineTest, MidBatchRollbackIsInvisible)
     SpecStats spec;
     Observed strict = runPingPong(EngineOrdering::Strict, &spec);
     expectIdentical(inter, strict);
-    // The adversarial workload must actually exercise the rollback
-    // path, not just commit clean batches.
-    EXPECT_GE(spec.rollbacks, 1u);
-    EXPECT_GE(spec.rolledBackRefs, spec.rollbacks);
+    expectNoSpeculation(spec);
+    // The workload must actually contend: invalidations kill copies.
+    std::uint64_t invalidated = 0;
+    for (const CacheStats &c : strict.caches)
+        invalidated += c.invalidationsRecv;
+    EXPECT_GT(invalidated, 0u);
     EXPECT_TRUE(inter.violations.empty());
     EXPECT_TRUE(inter.checkNow.empty());
 }
@@ -192,10 +203,9 @@ TEST(SpeculativeEngineTest, MidBatchRollbackIsInvisible)
 /**
  * The cliff shape of experiment P2: one producer streams writes over a
  * four-line buffer that five consumers read, under the invalidating
- * MOESI policy.  Each producer write kills the consumers' copies, so
- * an unbounded window would replay its whole run of read hits per
- * rollback, about 3,300 replayed refs per committed ref here.  The
- * adaptive window must bound the replay and stay invisible.
+ * MOESI policy.  Each producer write kills the consumers' copies; the
+ * speculative loop replayed thousands of refs per committed ref here.
+ * Strict must commit every reference once, in interleaved order.
  */
 Observed
 runProducerConsumer(EngineOrdering ordering, SpecStats *spec)
@@ -233,17 +243,15 @@ TEST(SpeculativeEngineTest, ProducerConsumerInvalidateReplayIsBounded)
     for (const ProcTiming &p : strict.engine.procs)
         committed += p.refs;
     EXPECT_EQ(committed, 6u * 8000u);
-    EXPECT_GE(spec.rollbacks, 1u);
-    EXPECT_LE(spec.rolledBackRefs, 16 * committed);
+    expectNoSpeculation(spec);
     EXPECT_TRUE(inter.violations.empty());
 }
 
 /**
  * Migratory read-modify-write bursts on one shared line, then private
- * read hits for the rest of the stream.  The burst forces rollbacks,
- * which shrink every window; in the private tail nothing parks or
- * pauses, so each processor stops only at its window limit and the
- * serialization loop advances on window-full commits alone.
+ * read hits for the rest of the stream: the shape on which the
+ * speculative loop advanced on window-full commits alone.  The long
+ * private tail runs almost entirely on the fused hit path.
  */
 class SharedThenPrivateWorkload : public RefStream
 {
@@ -310,42 +318,8 @@ TEST(SpeculativeEngineTest, WindowFullCommitsAloneAreInvisible)
     Observed strict = runSharedThenPrivate(EngineOrdering::Strict, &spec,
                                            kShared, kShared + kTail);
     expectIdentical(inter, strict);
-    EXPECT_GE(spec.rollbacks, 1u);
-    // An unbounded window would commit each tail in one batch at the
-    // end of the run; the bounded one commits it in window-full steps.
-    EXPECT_LT(spec.batchLen.data().max, kTail);
+    expectNoSpeculation(spec);
     EXPECT_TRUE(inter.violations.empty());
-}
-
-TEST(SpeculativeEngineTest, RelaxedPerLineShardsAreByteIdentical)
-{
-    // The relaxed per-line-order mode under sharding: shard counts
-    // must not change anything it observes either (the strict-vs-
-    // interleaved identity above does not cover this loop).
-    for (const auto &mix : kMixes) {
-        SystemConfig cfg;
-        cfg.lineBytes = 32;
-        std::vector<Observed> runs;
-        for (unsigned shards : {1u, 4u}) {
-            System sys(cfg);
-            for (std::size_t i = 0; i < mix.size(); ++i) {
-                CacheSpec spec = test::smallCache(mix[i]);
-                spec.numSets = 16;
-                spec.assoc = 2;
-                spec.seed = i + 1;
-                sys.addCache(spec);
-            }
-            Arch85Params params;
-            ThreadPool pool(shards);
-            EngineConfig ec;
-            ec.ordering = EngineOrdering::PerLine;
-            ec.shards = shards;
-            ec.pool = shards > 1 ? &pool : nullptr;
-            runs.push_back(observe(
-                sys, makeArch85Streams(params, mix.size(), 7), ec, 1500));
-        }
-        expectIdentical(runs[0], runs[1]);
-    }
 }
 
 } // namespace

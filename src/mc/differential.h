@@ -59,32 +59,26 @@ struct DiffResult
 DiffResult runDifferential(const DiffConfig &cfg);
 
 /**
- * Sharded-engine differential: the timed Engine runs one seeded
- * workload at every shard count in `shardCounts`, and each run's
- * functional access log, timing result and final checker state vector
- * must be byte-identical - intra-run sharding must never change what
- * the engine computes, only how fast.  The serial run's access log is
+ * Replay differential: the timed Engine runs one seeded workload and
+ * its functional access log must be one total order of every
+ * reference that respects each processor's program order.  The log is
  * then replayed against the abstract model (PreferredFeed on both
- * sides), which must accept every transition and land on the same
- * state vector; together the two checks pin the sharded drain to the
- * interleaved semantics the model formalizes.
+ * sides), which must accept every transition and land on the engine's
+ * final state vector.  This is the contract every ordering keeps,
+ * PerLine included: only timing is relaxed.
  */
-struct ShardDiffConfig
+struct ReplayDiffConfig
 {
     /** One table per cache/processor (2-4). */
     std::vector<const ProtocolTable *> tables;
     std::size_t lines = 2;
     std::size_t refsPerProc = 4000;
     std::uint64_t seed = 1;
-    /** Engine ordering mode under test (sharding applies to the
-     *  PerLine window loop; Strict runs the interleaved loop, which
-     *  ignores the shard count). */
+    /** Engine ordering mode under test. */
     EngineOrdering ordering = EngineOrdering::PerLine;
-    /** Shard counts to cross-compare; the first is the reference. */
-    std::vector<unsigned> shardCounts = {1, 4};
 };
 
-DiffResult runShardDifferential(const ShardDiffConfig &cfg);
+DiffResult runReplayDifferential(const ReplayDiffConfig &cfg);
 
 /**
  * Hierarchical differential: a live HierSystem (leaf buses, bridges,

@@ -1,11 +1,8 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/latency.h"
 #include "obs/trace_sink.h"
 
@@ -196,35 +193,11 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
         if (config_.accessLog)
             config_.accessLog->push_back({static_cast<MasterId>(i),
                                           p.ref.write, p.ref.addr});
-        if (outcome.usedBus) {
-            ProcTiming &timing = result.procs[i];
-            const Cycles wait = start - p.readyAt;
-            timing.busWaitCycles += wait;
-            timing.busServiceCycles += outcome.busCycles;
-            result.busBusy += outcome.busCycles;
-            if (config_.latency)
-                config_.latency->recordWait(static_cast<MasterId>(i),
-                                            wait);
-            if (config_.trace) {
-                if (wait > 0) {
-                    config_.trace->onSpan(
-                        "arb-wait", kTraceEnginePid,
-                        static_cast<std::uint32_t>(i), p.readyAt, wait,
-                        std::string());
-                }
-                config_.trace->onSpan(
-                    p.ref.write ? "write" : "read", kTraceEnginePid,
-                    static_cast<std::uint32_t>(i), start,
-                    outcome.busCycles,
-                    strprintf("addr 0x%llx",
-                              static_cast<unsigned long long>(
-                                  p.ref.addr)));
-            }
-            bus_free = start + outcome.busCycles;
-            p.readyAt = bus_free + hit;
-        } else {
+        if (outcome.usedBus)
+            billBus(result, i, p.ref, start, outcome.busCycles, p.readyAt,
+                    bus_free);
+        else
             p.readyAt += hit;
-        }
         retire(i);
     };
 
@@ -295,6 +268,34 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
     return result;
 }
 
+void
+Engine::billBus(EngineResult &result, std::size_t i, const ProcRef &ref,
+                Cycles grant, Cycles busCycles, Cycles &readyAt,
+                Cycles &busFree) const
+{
+    ProcTiming &timing = result.procs[i];
+    const Cycles wait = grant - readyAt;
+    timing.busWaitCycles += wait;
+    timing.busServiceCycles += busCycles;
+    result.busBusy += busCycles;
+    if (config_.latency)
+        config_.latency->recordWait(static_cast<MasterId>(i), wait);
+    if (config_.trace) {
+        if (wait > 0) {
+            config_.trace->onSpan("arb-wait", kTraceEnginePid,
+                                  static_cast<std::uint32_t>(i), readyAt,
+                                  wait, std::string());
+        }
+        config_.trace->onSpan(
+            ref.write ? "write" : "read", kTraceEnginePid,
+            static_cast<std::uint32_t>(i), grant, busCycles,
+            strprintf("addr 0x%llx",
+                      static_cast<unsigned long long>(ref.addr)));
+    }
+    busFree = grant + busCycles;
+    readyAt = busFree + config_.hitCycles;
+}
+
 EngineResult
 Engine::runWindowed(const std::vector<RefStream *> &streams,
                     std::uint64_t refs_per_proc,
@@ -309,33 +310,14 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
         bool hasRef = false;
         ProcRef ref;
     };
-    /**
-     * Deferred oracle bookkeeping for one processor's drain work.
-     * The drain executes cache-local accesses straight on the client
-     * (no System wrapper), logging writes for a later in-order merge
-     * into the shared oracle; the overlay answers read-own-write
-     * verification until the merge happens.  All of it is touched by
-     * exactly one worker at a time, so shards never contend.
-     */
-    struct DrainScratch
-    {
-        std::vector<std::pair<Addr, Word>> writeLog;
-        FlatMap64<Word> overlay;   ///< word index -> last deferred write
-        std::vector<std::pair<Addr, Word>> mismatches;
-        std::vector<EngineAccess> accesses;   ///< deferred access log
-    };
-
     std::vector<ProcState> procs(n);
-    std::vector<DrainScratch> scratch(n);
-    std::vector<BusClient *> clients(n);
     // Caches with the devirtualized hit path drain through the fused
     // classify-and-execute probe (tryLocalRead/Write) instead of the
-    // wouldUseBus + client-call pair; null falls back to the generic
+    // wouldUseBus + System call pair; null falls back to the generic
     // pair.  Stable for the whole run: on the plain access path
     // nothing can quarantine a cache or attach coverage mid-run.
     std::vector<SnoopingCache *> fastCache(n);
     for (std::size_t i = 0; i < n; ++i) {
-        clients[i] = &system_.client(static_cast<MasterId>(i));
         SnoopingCache *c = system_.cacheOf(static_cast<MasterId>(i));
         fastCache[i] = (c && c->fastPathEnabled()) ? c : nullptr;
     }
@@ -354,88 +336,71 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
     for (std::size_t i = 0; i < n; ++i)
         fetch(i);
 
-    std::atomic<bool> stop{false};
+    // Cooperative cancellation, polled once per pollEvery references
+    // drained or granted.
+    bool stop = false;
     const std::uint64_t pollEvery =
         control ? std::max<std::uint64_t>(1, control->checkEveryRefs)
                 : 0;
+    std::uint64_t sincePoll = 0;
+    auto poll = [&]() {
+        if (pollEvery && ++sincePoll >= pollEvery) {
+            sincePoll = 0;
+            stop = control->shouldStop();
+        }
+        return stop;
+    };
 
-    const CoherenceChecker &checker = system_.checker();
+    CoherenceChecker &checker = system_.checker();
     const Cycles hit = config_.hitCycles;
 
     /**
-     * Run one processor's cache-local references to exhaustion (end of
-     * stream or a bus-bound reference).  Touches only proc-i state:
-     * its stream, its cache, its scratch, its timing row.  The only
-     * shared reads are the oracle (const) and the stop flag.
+     * Run proc i's cache-local references to exhaustion (end of
+     * stream or a bus-bound reference, which stays parked for the
+     * service loop), with immediate oracle bookkeeping.  Per-reference
+     * accounting (refs, cycles, seq) accumulates in locals and flushes
+     * once - the drained count fully determines it.
      */
-    auto drainOne = [&](std::size_t i) {
+    auto drain = [&](std::size_t i) {
         ProcState &p = procs[i];
-        ProcTiming &t = result.procs[i];
-        DrainScratch &s = scratch[i];
-        BusClient &client = *clients[i];
         SnoopingCache *fc = fastCache[i];
         RefStream &stream = *streams[i];
         MasterId id = static_cast<MasterId>(i);
-        std::uint64_t sincePoll = 0;
-        // Per-reference accounting (refs, cycles, seq) accumulates in
-        // locals and flushes once at the end of the run - the drained
-        // count fully determines it, so the flushed totals are
-        // identical to per-reference updates.
         std::uint64_t drained = 0;
         std::uint64_t sq = seq[i];
-        while (p.hasRef) {
-            if (pollEvery && ++sincePoll >= pollEvery) {
-                sincePoll = 0;
-                if (stop.load(std::memory_order_relaxed) ||
-                    control->shouldStop()) {
-                    stop.store(true, std::memory_order_relaxed);
-                    break;
-                }
-            }
+        while (p.hasRef && !poll()) {
             if (p.ref.write) {
                 // Computed from sq+1 and committed only when the
                 // write executes, so a parked reference re-derives the
-                // identical value in the service phase.
+                // identical value in the service loop.
                 Word value = (static_cast<Word>(i + 1) << 48) ^ (sq + 1);
                 if (fc) {
                     if (!fc->tryLocalWrite(p.ref.addr, value))
-                        break;   // parked: the service loop takes over
+                        break;
+                    checker.noteWrite(p.ref.addr, value);
                 } else {
                     if (system_.wouldUseBus(id, true, p.ref.addr))
                         break;
-                    AccessOutcome o = client.write(p.ref.addr, value);
+                    AccessOutcome o = system_.write(id, p.ref.addr, value);
                     fbsim_assert(!o.usedBus);
                 }
                 ++sq;
-                s.writeLog.emplace_back(p.ref.addr, value);
-                s.overlay[p.ref.addr / kWordBytes] = value;
             } else {
-                Word got = 0;
                 if (fc) {
+                    Word got = 0;
                     if (!fc->tryLocalRead(p.ref.addr, got))
                         break;
+                    if (got != checker.expected(p.ref.addr))
+                        system_.recordReadMismatch(p.ref.addr, got);
                 } else {
                     if (system_.wouldUseBus(id, false, p.ref.addr))
                         break;
-                    AccessOutcome o = client.read(p.ref.addr);
+                    AccessOutcome o = system_.read(id, p.ref.addr);
                     fbsim_assert(!o.usedBus);
-                    got = o.value;
                 }
-                // Always-on value verification, deferred flavour: a
-                // word this proc wrote since the last merge is judged
-                // against the overlay, anything else against the
-                // shared oracle (stable during a drain window - every
-                // cross-proc write is bus-bound and thus parked).
-                const Word *own =
-                    s.overlay.empty()
-                        ? nullptr
-                        : s.overlay.find(p.ref.addr / kWordBytes);
-                Word exp = own ? *own : checker.expected(p.ref.addr);
-                if (got != exp)
-                    s.mismatches.emplace_back(p.ref.addr, got);
             }
             if (config_.accessLog)
-                s.accesses.push_back({id, p.ref.write, p.ref.addr});
+                config_.accessLog->push_back({id, p.ref.write, p.ref.addr});
             ++drained;
             if (p.done + drained < refs_per_proc)
                 p.ref = stream.next();
@@ -444,6 +409,7 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
         }
         seq[i] = sq;
         if (drained) {
+            ProcTiming &t = result.procs[i];
             p.done += drained;
             t.refs += drained;
             t.execCycles += drained * hit;
@@ -452,94 +418,27 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
         }
     };
 
-    // Merge the windows' deferred bookkeeping into the shared oracle,
-    // in processor order: the one deterministic serialization point
-    // that makes every shard count produce identical results.  Within
-    // a window at most one processor can have written any given word
-    // (a second writer would have needed the bus), so processor-major
-    // order is a correct linearization.
-    auto mergeDrains = [&]() {
-        CoherenceChecker &ck = system_.checker();
-        for (std::size_t i = 0; i < n; ++i) {
-            DrainScratch &s = scratch[i];
-            if (s.writeLog.empty() && s.mismatches.empty() &&
-                s.accesses.empty())
-                continue;
-            for (const auto &[addr, value] : s.writeLog)
-                ck.noteWrite(addr, value);
-            for (const auto &[addr, value] : s.mismatches)
-                system_.recordReadMismatch(addr, value);
-            if (config_.accessLog)
-                config_.accessLog->insert(config_.accessLog->end(),
-                                          s.accesses.begin(),
-                                          s.accesses.end());
-            s.writeLog.clear();
-            s.mismatches.clear();
-            s.overlay.clear();
-            s.accesses.clear();
-        }
-    };
+    // Cold start: every processor's initial run of cache-local
+    // references, in processor order.
+    for (std::size_t i = 0; i < n && !stop; ++i)
+        drain(i);
 
-    const unsigned shard_count =
-        (config_.pool != nullptr && config_.shards > 1)
-            ? static_cast<unsigned>(
-                  std::min<std::size_t>(config_.shards, n))
-            : 1;
-
-    // --- Cold-start drain window: every processor's initial run of
-    // cache-local references, shardable because the runs are mutually
-    // independent (a cross-processor conflict needs the bus, which
-    // parks the reference).  The deferred bookkeeping is merged in
-    // processor order whatever the shard count - and shard count 1
-    // runs the very same deferred code - so the window's outcome is
-    // byte-identical at any sharding.
-    if (shard_count > 1) {
-        for (unsigned sh = 0; sh < shard_count; ++sh) {
-            config_.pool->submit([&, sh]() {
-                for (std::size_t i = sh; i < n; i += shard_count)
-                    drainOne(i);
-            });
-        }
-        config_.pool->wait();
-        std::vector<std::exception_ptr> errs =
-            config_.pool->drainExceptions();
-        if (!errs.empty()) {
-            // Leave the oracle consistent before unwinding.
-            mergeDrains();
-            std::rethrow_exception(errs.front());
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            drainOne(i);
-    }
-    mergeDrains();
-
-    // --- Service loop: bus transactions in readyAt order, each
-    // followed by the winner's next cache-local run drained inline.
-    // Invariant at the top of each iteration: every processor with a
-    // pending reference is parked bus-bound (a completed transaction
-    // can invalidate or demote other caches' lines - making their
-    // parked references *more* bus-bound - but never refill one, so
-    // parked processors stay parked until they win the bus).
-    std::uint64_t sincePoll = 0;
-    CoherenceChecker &ck = system_.checker();
-    while (!stop.load(std::memory_order_relaxed)) {
+    // Service loop: bus transactions in readyAt order, each followed
+    // by the winner's next cache-local run.  Invariant at the top of
+    // each iteration: every processor with a pending reference is
+    // parked bus-bound (a completed transaction can invalidate or
+    // demote other caches' lines - making their parked references
+    // *more* bus-bound - but never refill one, so parked processors
+    // stay parked until they win the bus).
+    while (!stop) {
         constexpr Cycles kIdle = ~Cycles{0};
         Cycles tstar = kIdle;
         for (std::size_t i = 0; i < n; ++i) {
             if (procs[i].hasRef)
                 tstar = std::min(tstar, procs[i].readyAt);
         }
-        if (tstar == kIdle)
-            break;   // every stream exhausted
-
-        if (pollEvery && ++sincePoll >= pollEvery) {
-            sincePoll = 0;
-            if (control->shouldStop()) {
-                stop.store(true, std::memory_order_relaxed);
-                break;
-            }
-        }
+        if (tstar == kIdle || poll())
+            break;
 
         // Grant at max(bus free, earliest bus-bound ready); every
         // parked processor ready by then competes.  The winner's
@@ -569,107 +468,24 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
             config_.accessLog->push_back({wid, p.ref.write, p.ref.addr});
         t.refs += 1;
         t.execCycles += hit;
-        if (outcome.usedBus) {
-            const Cycles wait = grant - p.readyAt;
-            t.busWaitCycles += wait;
-            t.busServiceCycles += outcome.busCycles;
-            result.busBusy += outcome.busCycles;
-            if (config_.latency)
-                config_.latency->recordWait(wid, wait);
-            if (config_.trace) {
-                if (wait > 0) {
-                    config_.trace->onSpan(
-                        "arb-wait", kTraceEnginePid,
-                        static_cast<std::uint32_t>(w), p.readyAt, wait,
-                        std::string());
-                }
-                config_.trace->onSpan(
-                    p.ref.write ? "write" : "read", kTraceEnginePid,
-                    static_cast<std::uint32_t>(w), grant,
-                    outcome.busCycles,
-                    strprintf("addr 0x%llx",
-                              static_cast<unsigned long long>(
-                                  p.ref.addr)));
-            }
-            bus_free = grant + outcome.busCycles;
-            p.readyAt = bus_free + hit;
-        } else {
-            // Classification is exact and nothing ran in between, so
-            // a granted reference always uses the bus; stay robust.
+        // Classification is exact and nothing ran in between, so a
+        // granted reference always uses the bus; stay robust.
+        if (outcome.usedBus)
+            billBus(result, w, p.ref, grant, outcome.busCycles, p.readyAt,
+                    bus_free);
+        else
             p.readyAt += hit;
-        }
         t.finishTime = p.readyAt;
         p.hasRef = false;
         p.done += 1;
         fetch(w);
 
-        // Drain the winner's cache-local run inline (serial): its next
-        // bus-bound reference must re-enter arbitration at its true
-        // ready time, not after other processors' later transactions
-        // have pushed bus_free past it.  Serial context, so the oracle
-        // bookkeeping is immediate - no deferral, no overlay - and the
-        // per-reference accounting batches in locals exactly as in
-        // drainOne.
-        SnoopingCache *fc = fastCache[w];
-        RefStream &stream = *streams[w];
-        std::uint64_t drained = 0;
-        std::uint64_t sq = seq[w];
-        while (p.hasRef) {
-            if (pollEvery && ++sincePoll >= pollEvery) {
-                sincePoll = 0;
-                if (control->shouldStop()) {
-                    stop.store(true, std::memory_order_relaxed);
-                    break;
-                }
-            }
-            if (p.ref.write) {
-                Word value = (static_cast<Word>(w + 1) << 48) ^ (sq + 1);
-                if (fc) {
-                    if (!fc->tryLocalWrite(p.ref.addr, value))
-                        break;
-                    ck.noteWrite(p.ref.addr, value);
-                } else {
-                    if (system_.wouldUseBus(wid, true, p.ref.addr))
-                        break;
-                    AccessOutcome o = system_.write(wid, p.ref.addr,
-                                                    value);
-                    fbsim_assert(!o.usedBus);
-                }
-                ++sq;
-            } else {
-                if (fc) {
-                    Word got = 0;
-                    if (!fc->tryLocalRead(p.ref.addr, got))
-                        break;
-                    if (got != checker.expected(p.ref.addr))
-                        system_.recordReadMismatch(p.ref.addr, got);
-                } else {
-                    if (system_.wouldUseBus(wid, false, p.ref.addr))
-                        break;
-                    AccessOutcome o = system_.read(wid, p.ref.addr);
-                    fbsim_assert(!o.usedBus);
-                }
-            }
-            if (config_.accessLog)
-                config_.accessLog->push_back(
-                    {wid, p.ref.write, p.ref.addr});
-            ++drained;
-            if (p.done + drained < refs_per_proc)
-                p.ref = stream.next();
-            else
-                p.hasRef = false;
-        }
-        seq[w] = sq;
-        if (drained) {
-            p.done += drained;
-            t.refs += drained;
-            t.execCycles += drained * hit;
-            p.readyAt += drained * hit;
-            t.finishTime = p.readyAt;
-        }
+        // The winner's next bus-bound reference must re-enter
+        // arbitration at its true ready time, not after other
+        // processors' later transactions have pushed bus_free past it.
+        drain(w);
     }
-    if (stop.load(std::memory_order_relaxed))
-        result.cancelled = true;
+    result.cancelled = stop;
 
     for (const ProcTiming &p : result.procs)
         result.elapsed = std::max(result.elapsed, p.finishTime);

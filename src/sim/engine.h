@@ -26,7 +26,6 @@
 namespace fbsim {
 
 class LatencyRecorder;
-class ThreadPool;
 class TraceSink;
 
 /**
@@ -35,11 +34,12 @@ class TraceSink;
  * Strict is the default and means interleaved semantics: it runs the
  * interleaved loop, whose plain-path hits take the fused single-probe
  * path (SnoopingCache::tryLocalRead/Write).  Interleaved is an
- * explicit alias for the same loop.  PerLine relaxes the order to the
- * window discipline, which retains only per-line ordering (each line
- * still sees its accesses in a legal serialization; the global
- * interleaving differs) - validated against the src/mc differential
- * oracle rather than bit-exactly.
+ * explicit alias for the same loop.  PerLine relaxes only timing: the
+ * window loop runs each processor's cache-local references ahead of
+ * other processors' bus transactions, so cycle counts differ from the
+ * interleaved loop, but its functional access log is still one total
+ * order that respects every processor's program order and that the
+ * abstract model accepts (checked by mc::runReplayDifferential).
  */
 enum class EngineOrdering : std::uint8_t
 {
@@ -109,20 +109,6 @@ struct EngineConfig
     /** Processor cycles per reference when it completes locally. */
     Cycles hitCycles = 1;
     /**
-     * Intra-run sharding: partition the processors across this many
-     * workers of `pool` during the engine's drain phases (cache-local
-     * work only; bus transactions stay serialized).  Results are
-     * byte-identical at every shard count - the drain work is
-     * per-processor independent and its oracle bookkeeping is merged
-     * in processor order at each serialization point.  Takes effect
-     * only in the PerLine window loop on the plain access path
-     * (fault-free, no per-access checking); elsewhere the engine
-     * ignores it.  1 = serial (the default).
-     */
-    unsigned shards = 1;
-    /** Worker pool for shards > 1 (not owned; null = serial). */
-    ThreadPool *pool = nullptr;
-    /**
      * Optional per-master latency instrumentation (arbitration wait;
      * service time is recorded by the Bus itself when the recorder is
      * also attached there).  Null = detached, zero overhead beyond a
@@ -144,9 +130,8 @@ struct EngineConfig
     /**
      * Functional access log sink (not owned; null = detached).  Every
      * loop appends each reference at its functional commit point, so
-     * the log is byte-identical across shard counts and, per line,
-     * across orderings - the lockstep cross-validation harness
-     * replays it against the abstract model.
+     * the log is one total order of the run's accesses - the replay
+     * differential runs it through the abstract model.
      */
     std::vector<EngineAccess> *accessLog = nullptr;
 };
@@ -170,7 +155,7 @@ struct ProcTiming
                          static_cast<double>(finishTime);
     }
 
-    /** Sharded and serial runs of one workload must agree exactly. */
+    /** Exact comparison for determinism checks. */
     bool operator==(const ProcTiming &) const = default;
 };
 
@@ -189,7 +174,7 @@ struct EngineResult
      *  fields then cover only the references actually executed. */
     bool cancelled = false;
 
-    /** Sharded and serial runs of one workload must agree exactly. */
+    /** Exact comparison for determinism checks. */
     bool operator==(const EngineResult &) const = default;
 
     /** Bus utilization in [0,1]. */
@@ -250,18 +235,26 @@ class Engine
                                 const RunControl *control);
 
     /**
-     * Window-discipline loop for the plain access path: alternating
-     * drain phases (each processor burns through its run of
-     * cache-local references - independent, shardable work) and
-     * service phases (bus transactions, serialized through the
-     * arbiter exactly as in the classic loop).  Oracle bookkeeping
-     * for drained accesses is deferred per processor and merged in
-     * processor order before each service phase, which is what makes
-     * the result independent of the shard count.
+     * Window-discipline loop for the plain access path: every
+     * processor first drains its run of cache-local references, then
+     * the service loop grants bus transactions in readyAt order
+     * through the arbiter exactly as in the classic loop, each
+     * followed by a drain of the winner's next local run.
      */
     EngineResult runWindowed(const std::vector<RefStream *> &streams,
                              std::uint64_t refs_per_proc,
                              const RunControl *control);
+
+    /**
+     * Bill proc `i`'s bus transaction for `ref`: ready at `readyAt`,
+     * granted at `grant`, holding the bus `busCycles`.  Charges wait
+     * and service time, busBusy, the latency recorder and the trace
+     * spans, then advances `busFree` and `readyAt` past the
+     * transaction.
+     */
+    void billBus(EngineResult &result, std::size_t i, const ProcRef &ref,
+                 Cycles grant, Cycles busCycles, Cycles &readyAt,
+                 Cycles &busFree) const;
 
     System &system_;
     EngineConfig config_;

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests of the timed engine: cycle accounting, utilization metrics,
- * contention behaviour and determinism, and byte-identity of the
- * interleaved loop's fused hit path against its generic path.
+ * contention behaviour and determinism, byte-identity of the
+ * interleaved loop's fused hit path against its generic path, and the
+ * PerLine window loop's drain.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -362,6 +364,121 @@ TEST(EngineTest, FusedHitPathMatchesGenericPathOnReadMismatch)
         expectIdentical(slow, fast);
         EXPECT_FALSE(fast.violations.empty());
     }
+}
+
+TEST(EngineTest, PerLineDeadlineFiresInsideTheDrain)
+{
+    SystemConfig cfg;
+    System sys(cfg);
+    for (std::size_t i = 0; i < 4; ++i) {
+        CacheSpec spec = test::smallCache();
+        spec.numSets = 16;
+        spec.seed = i + 1;
+        sys.addCache(spec);
+    }
+    Arch85Params params;
+    auto streams = makeArch85Streams(params, 4, 7);
+    std::vector<RefStream *> raw;
+    for (auto &s : streams)
+        raw.push_back(s.get());
+
+    EngineConfig ec;
+    ec.ordering = EngineOrdering::PerLine;
+    Engine engine(sys, ec);
+
+    RunControl control;
+    control.hasDeadline = true;
+    control.deadline = std::chrono::steady_clock::now();
+    control.checkEveryRefs = 1;
+
+    EngineResult r = engine.run(raw, 1u << 20, &control);
+    EXPECT_TRUE(r.cancelled);
+    // The drain polls before every access, so an already-expired
+    // deadline stops the run before any reference executes.
+    for (const ProcTiming &p : r.procs)
+        EXPECT_EQ(p.refs, 0u);
+}
+
+TEST(EngineTest, PerLineColdStartDrainsWarmHitsBeforeTheFirstGrant)
+{
+    // Warm a compatible mix: even processors read eight private lines
+    // (left in E), odd ones write them (left in M).
+    const std::vector<ProtocolKind> mix = {
+        ProtocolKind::Moesi, ProtocolKind::Berkeley,
+        ProtocolKind::Illinois, ProtocolKind::Moesi};
+    const std::size_t n = mix.size();
+    System sys(timedConfig());
+    for (std::size_t p = 0; p < n; ++p) {
+        CacheSpec cs = test::smallCache(mix[p]);
+        cs.numSets = 16;
+        cs.seed = p + 1;
+        sys.addCache(cs);
+    }
+    auto line = [](std::size_t p, std::size_t k) {
+        return (static_cast<Addr>(p + 1) << 20) + k * 32;
+    };
+    std::vector<std::unique_ptr<RefStream>> warm;
+    for (std::size_t p = 0; p < n; ++p) {
+        std::vector<ProcRef> refs;
+        for (std::size_t k = 0; k < 8; ++k)
+            refs.push_back({p % 2 == 1, line(p, k)});
+        warm.push_back(std::make_unique<VectorStream>(refs));
+    }
+    std::vector<RefStream *> raw;
+    for (auto &s : warm)
+        raw.push_back(s.get());
+    Engine(sys, {}).run(raw, 8);
+    for (std::size_t p = 0; p < n; ++p) {
+        for (std::size_t k = 0; k < 8; ++k) {
+            State st = sys.cacheOf(static_cast<MasterId>(p))
+                           ->lineState(line(p, k));
+            ASSERT_TRUE(st == State::M || st == State::E)
+                << "proc " << p << " line " << k;
+        }
+    }
+
+    // Processors 1-3 only hit their warm lines.  Processor 0 opens
+    // with one read of a line it does not hold, then hits too: that
+    // fill is the run's first bus grant, and every other processor's
+    // whole program is cache-local work that the cold-start drain
+    // retires before it.
+    const std::size_t per_proc = 200;
+    std::vector<std::vector<ProcRef>> programs(n);
+    for (std::size_t p = 0; p < n; ++p) {
+        if (p == 0)
+            programs[p].push_back({false, line(p, 8)});
+        for (std::size_t j = programs[p].size(); j < per_proc; ++j)
+            programs[p].push_back({j % 3 == 0, line(p, j % 8)});
+    }
+    std::vector<std::unique_ptr<RefStream>> streams;
+    for (const auto &prog : programs)
+        streams.push_back(std::make_unique<VectorStream>(prog));
+    raw.clear();
+    for (auto &s : streams)
+        raw.push_back(s.get());
+
+    const std::uint64_t bus_before = sys.bus().stats().transactions;
+    std::vector<EngineAccess> log;
+    EngineConfig ec;
+    ec.ordering = EngineOrdering::PerLine;
+    ec.accessLog = &log;
+    EngineResult r = Engine(sys, ec).run(raw, per_proc);
+
+    for (const ProcTiming &t : r.procs)
+        EXPECT_EQ(t.refs, per_proc);
+    EXPECT_EQ(sys.bus().stats().transactions, bus_before + 1);
+    EXPECT_TRUE(sys.violations().empty());
+    EXPECT_TRUE(sys.checkNow().empty());
+
+    // The log is processors 1-3's programs in the cold-start window,
+    // each in program order, then processor 0's.
+    std::vector<EngineAccess> expected;
+    for (std::size_t p : {1, 2, 3, 0}) {
+        for (const ProcRef &ref : programs[p])
+            expected.push_back(
+                {static_cast<MasterId>(p), ref.write, ref.addr});
+    }
+    EXPECT_EQ(log, expected);
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Observability layer: exact log2 histograms, associative/commutative
  * snapshot merges, per-master latency recording, the determinism
- * contract for campaign metric blocks (byte-identical at any --jobs
- * and any shard count, with and without fault injection), the
+ * contract for campaign metric blocks (byte-identical at any --jobs,
+ * with and without fault injection), the
  * TransactionLog-as-TraceSink golden format, the rate-limited warning
  * sink, Perfetto trace validity and the journal v2 metric round trip.
  */
@@ -23,7 +23,6 @@
 #include "campaign/campaign_runner.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "obs/export.h"
 #include "obs/latency.h"
 #include "obs/metrics.h"
@@ -267,32 +266,6 @@ TEST(CampaignMetricsTest, ByteIdenticalAcrossWorkerCounts)
         EXPECT_EQ(renderCampaignMetricsJson(one),
                   renderCampaignMetricsJson(four));
     }
-}
-
-TEST(CampaignMetricsTest, ByteIdenticalAcrossShardCounts)
-{
-    // Shard counts only engage on the plain access path; compare the
-    // serial runner so the pool serves exactly one job at a time.
-    CampaignSpec spec = metricsSpec(false);
-    CampaignReport serial = CampaignRunner(1).run(spec);
-
-    ThreadPool pool(4);
-    CampaignSpec sharded = metricsSpec(false);
-    sharded.engine.shards = 4;
-    sharded.engine.pool = &pool;
-    CampaignReport shard4 = CampaignRunner(1).run(sharded);
-
-    ASSERT_EQ(serial.results.size(), shard4.results.size());
-    for (std::size_t i = 0; i < serial.results.size(); ++i) {
-        EXPECT_TRUE(serial.results[i].metrics ==
-                    shard4.results[i].metrics)
-            << "job " << i;
-        EXPECT_TRUE(serial.results[i].engine ==
-                    shard4.results[i].engine)
-            << "job " << i;
-    }
-    EXPECT_EQ(renderCampaignMetricsJson(serial),
-              renderCampaignMetricsJson(shard4));
 }
 
 TEST(CampaignMetricsTest, SnapshotCoversEngineSystemAndLatency)

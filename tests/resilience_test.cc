@@ -31,6 +31,7 @@
 
 #include "campaign/campaign_journal.h"
 #include "campaign/campaign_runner.h"
+#include "cache/line_store.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "sim/engine.h"
@@ -239,6 +240,41 @@ TEST(ReintegrateTest, ScheduledReintegrationRejoinsAfterTheFaultWindow)
     EXPECT_TRUE(sys.checkNow().empty());
     EXPECT_TRUE(sys.violations().empty());
     expectAllAnnotated(sys.faultEvents());
+}
+
+TEST(ReintegrateTest, ReintegrationBumpsEpochOnce)
+{
+    // System-level proof that hot-swap reintegration rides the O(1)
+    // epoch path: one bump, empty store, and the system stays
+    // coherent through the cache's cold re-entry.
+    System sys{SystemConfig{}};
+    for (std::size_t i = 0; i < 2; ++i) {
+        CacheSpec spec = test::smallCache();
+        spec.numSets = 16;
+        spec.seed = i + 1;
+        sys.addCache(spec);
+    }
+    for (int i = 0; i < 200; ++i) {
+        sys.write(0, static_cast<Addr>(i) * 8, i + 1);
+        sys.read(1, static_cast<Addr>(i) * 8);
+    }
+    const SnoopingCache *cache = sys.cacheOf(0);
+    const auto *plain =
+        dynamic_cast<const PlainLineStore *>(&cache->store());
+    ASSERT_NE(plain, nullptr);
+    std::uint32_t before = plain->tags().epoch();
+
+    ASSERT_TRUE(sys.quarantine(0));
+    ASSERT_TRUE(sys.reintegrate(0));
+    EXPECT_EQ(cache->store().validLineCount(), 0u);
+    EXPECT_EQ(plain->tags().epoch(), before + 1);
+
+    for (int i = 0; i < 200; ++i) {
+        sys.write(0, static_cast<Addr>(i) * 8, 1000 + i);
+        sys.read(1, static_cast<Addr>(i) * 8);
+    }
+    EXPECT_TRUE(sys.checkNow().empty());
+    EXPECT_TRUE(sys.violations().empty());
 }
 
 // ---------------------------------------------------------------- //

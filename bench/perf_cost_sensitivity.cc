@@ -114,9 +114,10 @@ main(int argc, char **argv)
     double gap_slow =
         inv_slow.busCyclesPerRef - up_slow.busCyclesPerRef;
     std::printf("\nupdate advantage (bus cyc/ref saved): %.3f at "
-                "mem=2, %.3f at mem=32 - widening with memory "
+                "mem=2, %.3f at mem=32 - %s with memory "
                 "latency\n",
-                gap_fast, gap_slow);
+                gap_fast, gap_slow,
+                gap_slow > gap_fast ? "widening" : "narrowing");
     ok = ok && gap_slow > gap_fast;
 
     // Intervention value: cache-to-cache supply matters more as

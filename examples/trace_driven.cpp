@@ -6,7 +6,6 @@
  *
  * Usage:
  *   trace_driven <trace-file> [protocol|all] [procs] [--jobs N]
- *                [--ordering strict|perline|interleaved]
  *                [--trace-out out.json [--trace-job N]]
  *                [--metrics-out out.json] [--warn-limit N] [--faults]
  *                [--clusters N] [--shrink]
@@ -36,11 +35,6 @@
  * over the same trace in one CampaignRunner invocation and `--jobs N`
  * spreads the sweep over N worker threads (the merged table is
  * bit-identical for every N).
- *
- * --ordering picks the engine scheduling mode (DESIGN.md §5.17):
- * `strict` (the default) and `interleaved` both run the interleaved
- * loop, whose local hits take a fused single-probe path; `perline`
- * relaxes cross-line ordering for the fastest replay.
  *
  * The --generate mode writes a synthetic Archibald-Baer style trace so
  * the example is runnable with no external data (the paper itself had
@@ -118,8 +112,6 @@ main(int argc, char **argv)
     bool with_faults = false;
     bool shrink = false;
     std::size_t clusters = 1;
-    EngineOrdering ordering = EngineOrdering::Strict;
-    const char *ordering_name = "strict";
     std::vector<char *> args;
     auto flagValue = [&](int &i, const char *name,
                          const char **value) {
@@ -154,21 +146,6 @@ main(int argc, char **argv)
             metrics_out = value;
         } else if (flagValue(i, "--trace-job", &value)) {
             trace_job = static_cast<std::size_t>(std::atoll(value));
-        } else if (flagValue(i, "--ordering", &value)) {
-            if (std::strcmp(value, "strict") == 0) {
-                ordering = EngineOrdering::Strict;
-            } else if (std::strcmp(value, "perline") == 0) {
-                ordering = EngineOrdering::PerLine;
-            } else if (std::strcmp(value, "interleaved") == 0) {
-                ordering = EngineOrdering::Interleaved;
-            } else {
-                std::fprintf(stderr,
-                             "--ordering wants strict, perline or "
-                             "interleaved, not %s\n",
-                             value);
-                return 1;
-            }
-            ordering_name = value;
         } else if (flagValue(i, "--warn-limit", &value)) {
             setWarnSiteLimit(static_cast<unsigned>(std::atoi(value)));
         } else if (std::strcmp(argv[i], "--faults") == 0) {
@@ -192,7 +169,6 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "usage: %s <trace-file> [protocol|all] [procs] "
                      "[--jobs N] "
-                     "[--ordering strict|perline|interleaved] "
                      "[--timeout-ms N] [--retries N] "
                      "[--journal path [--resume]] "
                      "[--trace-out path [--trace-job N]] "
@@ -240,15 +216,14 @@ main(int argc, char **argv)
         shortest = std::min(shortest, n ? n : 1);
 
     std::printf("%zu references, %zu processors, protocol %s, "
-                "--jobs %u, --ordering %s\n",
+                "--jobs %u\n",
                 trace->size(), procs,
                 sweep_all ? "all"
                           : std::string(protocolKindName(kind)).c_str(),
-                jobs, ordering_name);
+                jobs);
 
     CampaignSpec spec;
     spec.refsPerProc = shortest;
-    spec.engine.ordering = ordering;
     if (with_faults) {
         // Timing faults only (no data corruption), so every job stays
         // consistent while the retry/watchdog/quarantine/reintegration

@@ -19,8 +19,8 @@ import statistics
 import sys
 
 # Rows enforced when no --bench is given.  BM_EngineThroughput/8 is the
-# default ordering (Strict: the interleaved loop with its fused hit
-# probe) on the 8-processor Arch85 workload, mostly private hits;
+# engine's interleaved loop with its fused hit probe on the
+# 8-processor Arch85 workload, mostly private hits;
 # BM_ProducerConsumerInvalidate/6 is experiment P2's
 # producer-consumer/invalidate job, where shared writes put the work
 # on the bus; BM_McExploreMoesi4x2 pins the model checker's

@@ -15,15 +15,17 @@ namespace {
 
 constexpr char kMagic[] = "fbsim-campaign-journal";
 // v2: records carry the job's metric snapshot (resumed rows must
-// reproduce the metric blocks byte-identically).  v1 journals fail
-// the header match and are treated as a different campaign's file.
+// reproduce the metric blocks byte-identically).
 // v3: records carry the job's SpecStats (all zero since no engine
 // loop speculates; the record layout is kept).
 // v4: records carry scrubDivergence (hier jobs count bridge-filter
 // entries repaired by the audit-and-scrub pass) and the bridge-site
 // fault counters, and the fingerprint covers the cluster count (a
 // hier campaign must not resume from a flat campaign's journal).
-constexpr char kVersion[] = "v4";
+// v5: the SpecStats block is gone (no engine loop speculates).
+// A journal of any other version is refused with a message naming
+// both versions.
+constexpr char kVersion[] = "v5";
 
 /** FNV-1a over a byte string. */
 std::uint64_t
@@ -209,14 +211,32 @@ headerLine(std::uint64_t fingerprint, std::size_t num_jobs)
                      static_cast<unsigned long long>(num_jobs));
 }
 
-/** Validate a header line against the expected fingerprint prefix. */
-bool
-headerMatches(const std::string &line, std::uint64_t fingerprint)
+/**
+ * Die unless `line` is this build's header for `fingerprint`.  A
+ * journal written in another format version is told so; any other
+ * mismatch belongs to a different campaign.
+ */
+void
+requireHeader(const std::string &path, const std::string &line,
+              std::uint64_t fingerprint)
 {
     std::string want =
         strprintf("%s %s fp=%016llx ", kMagic, kVersion,
                   static_cast<unsigned long long>(fingerprint));
-    return line.compare(0, want.size(), want) == 0;
+    if (line.compare(0, want.size(), want) == 0)
+        return;
+    std::string magic = std::string(kMagic) + " v";
+    if (line.compare(0, magic.size(), magic) == 0) {
+        std::size_t at = magic.size() - 1;
+        std::string version = line.substr(at, line.find(' ', at) - at);
+        if (version != kVersion)
+            fbsim_fatal("journal: %s is format %s; this build reads %s "
+                        "- start a new journal",
+                        path.c_str(), version.c_str(), kVersion);
+    }
+    fbsim_fatal("journal: %s belongs to a different campaign "
+                "(fingerprint mismatch)",
+                path.c_str());
 }
 
 } // namespace
@@ -326,32 +346,6 @@ encodeJournalRecord(const CampaignResult &r)
     putU64(out, f.bridgeDups);
     putU64(out, f.filterStales);
     putU64(out, f.leafStalls);
-
-    // Speculation counters + log2 histograms, same sparse bucket
-    // encoding as the metric snapshot below.
-    auto putHist = [&out](const HistogramData &h) {
-        putU64(out, h.count);
-        putU64(out, h.sum);
-        putU64(out, h.min);
-        putU64(out, h.max);
-        std::uint64_t nonzero = 0;
-        for (std::uint64_t b : h.buckets)
-            nonzero += (b != 0);
-        putU64(out, nonzero);
-        for (std::size_t i = 0; i < HistogramData::kBuckets; ++i) {
-            if (h.buckets[i] != 0) {
-                putU64(out, i);
-                putU64(out, h.buckets[i]);
-            }
-        }
-    };
-    const SpecStats &sp = r.speculation;
-    putU64(out, sp.batches);
-    putU64(out, sp.specRefs);
-    putU64(out, sp.rollbacks);
-    putU64(out, sp.rolledBackRefs);
-    putHist(sp.batchLen.data());
-    putHist(sp.rollbackDepth.data());
 
     putU64(out, r.watchdogTrips);
     putU64(out, r.quarantines);
@@ -469,31 +463,6 @@ decodeJournalRecord(const std::string &line)
         !u64(f.filterStales) || !u64(f.leafStalls))
         return std::nullopt;
 
-    auto hist = [&](Histogram &out) {
-        HistogramData h;
-        std::uint64_t nonzero = 0;
-        if (!u64(h.count) || !u64(h.sum) || !u64(h.min) ||
-            !u64(h.max) || !t.u64(nonzero) ||
-            nonzero > HistogramData::kBuckets)
-            return false;
-        for (std::uint64_t i = 0; i < nonzero; ++i) {
-            std::uint64_t idx = 0, count = 0;
-            if (!t.u64(idx) || idx >= HistogramData::kBuckets ||
-                !t.u64(count))
-                return false;
-            h.buckets[idx] = count;
-        }
-        // A fresh Histogram is empty, so merging the decoded data
-        // restores it exactly (min/max widen from the empty extremes).
-        out.merge(h);
-        return true;
-    };
-    SpecStats &sp = r.speculation;
-    if (!u64(sp.batches) || !u64(sp.specRefs) || !u64(sp.rollbacks) ||
-        !u64(sp.rolledBackRefs) || !hist(sp.batchLen) ||
-        !hist(sp.rollbackDepth))
-        return std::nullopt;
-
     std::uint64_t status = 0, attempts = 0;
     if (!u64(r.watchdogTrips) || !u64(r.quarantines) ||
         !u64(r.reintegrations) || !u64(r.scrubDivergence) ||
@@ -558,10 +527,8 @@ CampaignJournal::CampaignJournal(const std::string &path,
     // would be checkpointing one campaign into another's file.
     std::ifstream in(path);
     std::string first;
-    if (!std::getline(in, first) || !headerMatches(first, fingerprint))
-        fbsim_fatal("journal: %s belongs to a different campaign "
-                    "(fingerprint mismatch)",
-                    path.c_str());
+    std::getline(in, first);
+    requireHeader(path, first, fingerprint);
 }
 
 CampaignJournal::~CampaignJournal()
@@ -610,10 +577,7 @@ loadCampaignJournal(const std::string &path, std::uint64_t fingerprint)
     std::string line;
     if (!std::getline(in, line))
         return {};   // torn header: nothing checkpointed yet
-    if (!headerMatches(line, fingerprint))
-        fbsim_fatal("journal: %s belongs to a different campaign "
-                    "(fingerprint mismatch)",
-                    path.c_str());
+    requireHeader(path, line, fingerprint);
     std::vector<CampaignResult> out;
     while (std::getline(in, line)) {
         if (std::optional<CampaignResult> r = decodeJournalRecord(line))

@@ -16,12 +16,13 @@
  * records and silently drops a malformed tail; the dropped job is
  * simply re-run on resume.  A fingerprint mismatch, by contrast, is a
  * hard error - resuming campaign A from campaign B's journal would
- * silently fabricate results.
+ * silently fabricate results - and so is a journal written in another
+ * format version, which gets its own message naming both versions.
  *
  * Record grammar (one line, space-separated tokens, strings lowercase
  * hex so embedded spaces and newlines cannot break framing):
  *
- *   fbsim-campaign-journal v1 fp=<hex16> jobs=<n>
+ *   fbsim-campaign-journal v5 fp=<hex16> jobs=<n>
  *   job <index> ... <all CampaignResult fields in fixed order> ... end
  */
 
@@ -58,9 +59,10 @@ class CampaignJournal
   public:
     /**
      * Open `path` for appending.  An empty or absent file gets the
-     * header; an existing one must carry a matching fingerprint.
-     * I/O or fingerprint failure is fatal (fbsim_fatal) - checkpoint
-     * corruption must never be silent.
+     * header; an existing one must carry this build's format version
+     * and a matching fingerprint.  I/O, version or fingerprint failure
+     * is fatal (fbsim_fatal) - checkpoint corruption must never be
+     * silent.
      */
     CampaignJournal(const std::string &path, std::uint64_t fingerprint,
                     std::size_t num_jobs);
@@ -83,8 +85,9 @@ class CampaignJournal
  * Load the completed records of `path`.  Returns the results of every
  * well-formed record (later duplicates of a job index win, so a job
  * journaled twice across restarts stays harmless); a torn or garbage
- * tail is skipped.  Fatal on a fingerprint mismatch; an absent file
- * yields an empty vector (resume of a never-started campaign).
+ * tail is skipped.  Fatal on a format-version or fingerprint
+ * mismatch; an absent file yields an empty vector (resume of a
+ * never-started campaign).
  */
 std::vector<CampaignResult> loadCampaignJournal(
     const std::string &path, std::uint64_t fingerprint);

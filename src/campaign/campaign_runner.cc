@@ -125,9 +125,6 @@ runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
     CampaignResult result;
     result.job = job;
     EngineConfig ecfg = spec.engine;
-    // Speculation counters are captured per job (a spec-level pointer
-    // would be shared across worker threads); the result carries them.
-    ecfg.specStats = &result.speculation;
     if (trace)
         ecfg.trace = trace;
 

@@ -287,8 +287,9 @@ struct CampaignResult
     BusStats bus;
     CacheStats cacheTotals;   ///< summed over the job's caches
     FaultStats faults;        ///< zero in fault-free jobs
-    SpecStats speculation;    ///< all-zero (no engine loop
-                              ///  speculates; kept for the journal)
+    /** All zero; not journaled.  No effect; kept because perfbench
+     *  names it; delete it in the next change to the benchmark. */
+    SpecStats speculation;
 
     /** Per-access violations plus the terminal audit (in order). */
     std::vector<std::string> violations;

@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "core/policy.h"
 #include "hier/hier_system.h"
+#include "sim/engine.h"
 #include "sim/system.h"
 #include "trace/ref_stream.h"
 
@@ -441,7 +442,6 @@ runReplayDifferential(const ReplayDiffConfig &cfg)
 
     std::vector<EngineAccess> log;
     EngineConfig ec;
-    ec.ordering = cfg.ordering;
     ec.accessLog = &log;
     Engine engine(sys, ec);
     engine.run(raw, cfg.refsPerProc);

@@ -28,7 +28,6 @@
 
 #include "mc/hier_model.h"
 #include "mc/model.h"
-#include "sim/engine.h"
 
 namespace fbsim {
 namespace mc {
@@ -64,8 +63,7 @@ DiffResult runDifferential(const DiffConfig &cfg);
  * reference that respects each processor's program order.  The log is
  * then replayed against the abstract model (PreferredFeed on both
  * sides), which must accept every transition and land on the engine's
- * final state vector.  This is the contract every ordering keeps,
- * PerLine included: only timing is relaxed.
+ * final state vector.
  */
 struct ReplayDiffConfig
 {
@@ -74,8 +72,6 @@ struct ReplayDiffConfig
     std::size_t lines = 2;
     std::size_t refsPerProc = 4000;
     std::uint64_t seed = 1;
-    /** Engine ordering mode under test. */
-    EngineOrdering ordering = EngineOrdering::PerLine;
 };
 
 DiffResult runReplayDifferential(const ReplayDiffConfig &cfg);

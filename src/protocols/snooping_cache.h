@@ -194,7 +194,7 @@ class SnoopingCache : public BusClient, public Snooper
     bool fastPathEnabled() const { return fastLocal_; }
 
     /**
-     * Drain-path accesses for the timed engine: classification and
+     * Fused-probe accesses for the timed engine: classification and
      * execution fused into one tag probe.  A pure local hit executes
      * with exactly read()/write() semantics and stats and returns
      * true; anything else (miss, bus-bound cell, conditional

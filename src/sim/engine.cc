@@ -54,13 +54,6 @@ Engine::run(const std::vector<RefStream *> &streams,
 {
     fbsim_assert(streams.size() == system_.numClients());
     fbsim_assert(!streams.empty());
-    // Per-access machinery (fault injection, per-access checking,
-    // scheduled reintegrations) observes the exact global access
-    // order: only the interleaved loop provides it.  Strict is that
-    // loop too - it means interleaved semantics.
-    if (system_.plainAccessPath() &&
-        config_.ordering == EngineOrdering::PerLine)
-        return runWindowed(streams, refs_per_proc, control);
     return runInterleaved(streams, refs_per_proc, control);
 }
 
@@ -193,11 +186,35 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
         if (config_.accessLog)
             config_.accessLog->push_back({static_cast<MasterId>(i),
                                           p.ref.write, p.ref.addr});
-        if (outcome.usedBus)
-            billBus(result, i, p.ref, start, outcome.busCycles, p.readyAt,
-                    bus_free);
-        else
+        if (outcome.usedBus) {
+            // Granted at `start`: charge wait and service time, busBusy,
+            // the latency recorder and the trace spans, then advance
+            // bus_free and readyAt past the transaction.
+            ProcTiming &timing = result.procs[i];
+            const Cycles wait = start - p.readyAt;
+            const Cycles busCycles = outcome.busCycles;
+            timing.busWaitCycles += wait;
+            timing.busServiceCycles += busCycles;
+            result.busBusy += busCycles;
+            if (config_.latency)
+                config_.latency->recordWait(static_cast<MasterId>(i), wait);
+            if (config_.trace) {
+                if (wait > 0) {
+                    config_.trace->onSpan("arb-wait", kTraceEnginePid,
+                                          static_cast<std::uint32_t>(i),
+                                          p.readyAt, wait, std::string());
+                }
+                config_.trace->onSpan(
+                    p.ref.write ? "write" : "read", kTraceEnginePid,
+                    static_cast<std::uint32_t>(i), start, busCycles,
+                    strprintf("addr 0x%llx",
+                              static_cast<unsigned long long>(p.ref.addr)));
+            }
+            bus_free = start + busCycles;
+            p.readyAt = bus_free + hit;
+        } else {
             p.readyAt += hit;
+        }
         retire(i);
     };
 
@@ -259,233 +276,6 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
         std::size_t w = *winner;
         execute(w, std::max(bus_free, procs[w].readyAt));
     }
-
-    for (const ProcTiming &p : result.procs)
-        result.elapsed = std::max(result.elapsed, p.finishTime);
-    result.watchdogTrips = system_.watchdogTrips();
-    result.quarantines = system_.quarantineCount();
-    result.reintegrations = system_.reintegrationCount();
-    return result;
-}
-
-void
-Engine::billBus(EngineResult &result, std::size_t i, const ProcRef &ref,
-                Cycles grant, Cycles busCycles, Cycles &readyAt,
-                Cycles &busFree) const
-{
-    ProcTiming &timing = result.procs[i];
-    const Cycles wait = grant - readyAt;
-    timing.busWaitCycles += wait;
-    timing.busServiceCycles += busCycles;
-    result.busBusy += busCycles;
-    if (config_.latency)
-        config_.latency->recordWait(static_cast<MasterId>(i), wait);
-    if (config_.trace) {
-        if (wait > 0) {
-            config_.trace->onSpan("arb-wait", kTraceEnginePid,
-                                  static_cast<std::uint32_t>(i), readyAt,
-                                  wait, std::string());
-        }
-        config_.trace->onSpan(
-            ref.write ? "write" : "read", kTraceEnginePid,
-            static_cast<std::uint32_t>(i), grant, busCycles,
-            strprintf("addr 0x%llx",
-                      static_cast<unsigned long long>(ref.addr)));
-    }
-    busFree = grant + busCycles;
-    readyAt = busFree + config_.hitCycles;
-}
-
-EngineResult
-Engine::runWindowed(const std::vector<RefStream *> &streams,
-                    std::uint64_t refs_per_proc,
-                    const RunControl *control)
-{
-    std::size_t n = streams.size();
-
-    struct ProcState
-    {
-        Cycles readyAt = 0;
-        std::uint64_t done = 0;
-        bool hasRef = false;
-        ProcRef ref;
-    };
-    std::vector<ProcState> procs(n);
-    // Caches with the devirtualized hit path drain through the fused
-    // classify-and-execute probe (tryLocalRead/Write) instead of the
-    // wouldUseBus + System call pair; null falls back to the generic
-    // pair.  Stable for the whole run: on the plain access path
-    // nothing can quarantine a cache or attach coverage mid-run.
-    std::vector<SnoopingCache *> fastCache(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        SnoopingCache *c = system_.cacheOf(static_cast<MasterId>(i));
-        fastCache[i] = (c && c->fastPathEnabled()) ? c : nullptr;
-    }
-    EngineResult result;
-    result.procs.resize(n);
-    Arbiter arbiter(config_.arbitration, n);
-    Cycles bus_free = 0;
-    std::vector<std::uint64_t> seq(n, 0);
-
-    auto fetch = [&](std::size_t i) {
-        if (procs[i].done < refs_per_proc) {
-            procs[i].ref = streams[i]->next();
-            procs[i].hasRef = true;
-        }
-    };
-    for (std::size_t i = 0; i < n; ++i)
-        fetch(i);
-
-    // Cooperative cancellation, polled once per pollEvery references
-    // drained or granted.
-    bool stop = false;
-    const std::uint64_t pollEvery =
-        control ? std::max<std::uint64_t>(1, control->checkEveryRefs)
-                : 0;
-    std::uint64_t sincePoll = 0;
-    auto poll = [&]() {
-        if (pollEvery && ++sincePoll >= pollEvery) {
-            sincePoll = 0;
-            stop = control->shouldStop();
-        }
-        return stop;
-    };
-
-    CoherenceChecker &checker = system_.checker();
-    const Cycles hit = config_.hitCycles;
-
-    /**
-     * Run proc i's cache-local references to exhaustion (end of
-     * stream or a bus-bound reference, which stays parked for the
-     * service loop), with immediate oracle bookkeeping.  Per-reference
-     * accounting (refs, cycles, seq) accumulates in locals and flushes
-     * once - the drained count fully determines it.
-     */
-    auto drain = [&](std::size_t i) {
-        ProcState &p = procs[i];
-        SnoopingCache *fc = fastCache[i];
-        RefStream &stream = *streams[i];
-        MasterId id = static_cast<MasterId>(i);
-        std::uint64_t drained = 0;
-        std::uint64_t sq = seq[i];
-        while (p.hasRef && !poll()) {
-            if (p.ref.write) {
-                // Computed from sq+1 and committed only when the
-                // write executes, so a parked reference re-derives the
-                // identical value in the service loop.
-                Word value = (static_cast<Word>(i + 1) << 48) ^ (sq + 1);
-                if (fc) {
-                    if (!fc->tryLocalWrite(p.ref.addr, value))
-                        break;
-                    checker.noteWrite(p.ref.addr, value);
-                } else {
-                    if (system_.wouldUseBus(id, true, p.ref.addr))
-                        break;
-                    AccessOutcome o = system_.write(id, p.ref.addr, value);
-                    fbsim_assert(!o.usedBus);
-                }
-                ++sq;
-            } else {
-                if (fc) {
-                    Word got = 0;
-                    if (!fc->tryLocalRead(p.ref.addr, got))
-                        break;
-                    if (got != checker.expected(p.ref.addr))
-                        system_.recordReadMismatch(p.ref.addr, got);
-                } else {
-                    if (system_.wouldUseBus(id, false, p.ref.addr))
-                        break;
-                    AccessOutcome o = system_.read(id, p.ref.addr);
-                    fbsim_assert(!o.usedBus);
-                }
-            }
-            if (config_.accessLog)
-                config_.accessLog->push_back({id, p.ref.write, p.ref.addr});
-            ++drained;
-            if (p.done + drained < refs_per_proc)
-                p.ref = stream.next();
-            else
-                p.hasRef = false;
-        }
-        seq[i] = sq;
-        if (drained) {
-            ProcTiming &t = result.procs[i];
-            p.done += drained;
-            t.refs += drained;
-            t.execCycles += drained * hit;
-            p.readyAt += drained * hit;
-            t.finishTime = p.readyAt;
-        }
-    };
-
-    // Cold start: every processor's initial run of cache-local
-    // references, in processor order.
-    for (std::size_t i = 0; i < n && !stop; ++i)
-        drain(i);
-
-    // Service loop: bus transactions in readyAt order, each followed
-    // by the winner's next cache-local run.  Invariant at the top of
-    // each iteration: every processor with a pending reference is
-    // parked bus-bound (a completed transaction can invalidate or
-    // demote other caches' lines - making their parked references
-    // *more* bus-bound - but never refill one, so parked processors
-    // stay parked until they win the bus).
-    while (!stop) {
-        constexpr Cycles kIdle = ~Cycles{0};
-        Cycles tstar = kIdle;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (procs[i].hasRef)
-                tstar = std::min(tstar, procs[i].readyAt);
-        }
-        if (tstar == kIdle || poll())
-            break;
-
-        // Grant at max(bus free, earliest bus-bound ready); every
-        // parked processor ready by then competes.  The winner's
-        // start time always equals the grant time: a candidate ready
-        // after bus_free became ready exactly at the grant.
-        Cycles grant = std::max(bus_free, tstar);
-        std::optional<MasterId> winner =
-            arbiter.grantWhere([&](std::size_t i) {
-                return procs[i].hasRef && procs[i].readyAt <= grant;
-            });
-        fbsim_assert(winner.has_value());
-        std::size_t w = *winner;
-        MasterId wid = static_cast<MasterId>(w);
-        ProcState &p = procs[w];
-        ProcTiming &t = result.procs[w];
-
-        AccessOutcome outcome;
-        if (p.ref.write) {
-            Word value = (static_cast<Word>(w + 1) << 48) ^ (++seq[w]);
-            outcome = system_.write(wid, p.ref.addr, value);
-        } else {
-            outcome = system_.read(wid, p.ref.addr);
-        }
-        if (outcome.faulted)
-            ++result.faultedRefs;
-        if (config_.accessLog)
-            config_.accessLog->push_back({wid, p.ref.write, p.ref.addr});
-        t.refs += 1;
-        t.execCycles += hit;
-        // Classification is exact and nothing ran in between, so a
-        // granted reference always uses the bus; stay robust.
-        if (outcome.usedBus)
-            billBus(result, w, p.ref, grant, outcome.busCycles, p.readyAt,
-                    bus_free);
-        else
-            p.readyAt += hit;
-        t.finishTime = p.readyAt;
-        p.hasRef = false;
-        p.done += 1;
-        fetch(w);
-
-        // The winner's next bus-bound reference must re-enter
-        // arbitration at its true ready time, not after other
-        // processors' later transactions have pushed bus_free past it.
-        drain(w);
-    }
-    result.cancelled = stop;
 
     for (const ProcTiming &p : result.procs)
         result.elapsed = std::max(result.elapsed, p.finishTime);

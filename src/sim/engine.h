@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bus/arbiter.h"
-#include "obs/metrics.h"
 #include "sim/system.h"
 #include "trace/ref_stream.h"
 
@@ -29,40 +28,26 @@ class LatencyRecorder;
 class TraceSink;
 
 /**
- * How the engine orders references relative to bus transactions.
- *
- * Strict is the default and means interleaved semantics: it runs the
- * interleaved loop, whose plain-path hits take the fused single-probe
- * path (SnoopingCache::tryLocalRead/Write).  Interleaved is an
- * explicit alias for the same loop.  PerLine relaxes only timing: the
- * window loop runs each processor's cache-local references ahead of
- * other processors' bus transactions, so cycle counts differ from the
- * interleaved loop, but its functional access log is still one total
- * order that respects every processor's program order and that the
- * abstract model accepts (checked by mc::runReplayDifferential).
+ * Engine ordering.  There is one run loop, the interleaved scheduler,
+ * so this enum has one value.  No effect; kept because perfbench
+ * names it; delete it in the next change to the benchmark.
  */
 enum class EngineOrdering : std::uint8_t
 {
-    Strict = 0,
-    PerLine = 1,
-    Interleaved = 2,
+    Interleaved = 0,
 };
 
 /**
- * Speculation counters: deterministic counters and log2 histograms in
- * the simulation domain.  No engine loop speculates any more, so every
- * field reads zero; the struct stays because campaign results, the
- * journal format and benchmark reports carry it.  Lives outside
- * EngineResult so EngineResult::operator== is untouched.
+ * Speculation counters.  No engine loop speculates, so every field
+ * reads zero.  No effect; kept because perfbench names it; delete it
+ * in the next change to the benchmark.
  */
 struct SpecStats
 {
-    std::uint64_t batches = 0;        ///< nonzero commit batches
-    std::uint64_t specRefs = 0;       ///< refs committed from speculation
-    std::uint64_t rollbacks = 0;      ///< conflict-triggered rollbacks
-    std::uint64_t rolledBackRefs = 0; ///< refs undone (later replayed)
-    Histogram batchLen;               ///< per-proc commit batch lengths
-    Histogram rollbackDepth;          ///< refs undone per rollback
+    std::uint64_t batches = 0;
+    std::uint64_t specRefs = 0;
+    std::uint64_t rollbacks = 0;
+    std::uint64_t rolledBackRefs = 0;
 };
 
 /** One functionally-committed access, in commit order. */
@@ -118,20 +103,17 @@ struct EngineConfig
     /** Optional trace sink for per-reference bus spans.  Null =
      *  detached.  Not owned. */
     TraceSink *trace = nullptr;
-    /**
-     * Reference-vs-transaction ordering discipline; see
-     * EngineOrdering.  PerLine takes effect only on the plain access
-     * path; every other run uses the interleaved loop.
-     */
-    EngineOrdering ordering = EngineOrdering::Strict;
-    /** Speculation counters sink (not owned; null = detached).  No
-     *  loop writes it; see SpecStats. */
+    /** No effect; kept because perfbench names it; delete it in the
+     *  next change to the benchmark. */
+    EngineOrdering ordering = EngineOrdering::Interleaved;
+    /** No effect (SpecStats reads zero); kept because perfbench names
+     *  it; delete it in the next change to the benchmark. */
     SpecStats *specStats = nullptr;
     /**
-     * Functional access log sink (not owned; null = detached).  Every
-     * loop appends each reference at its functional commit point, so
-     * the log is one total order of the run's accesses - the replay
-     * differential runs it through the abstract model.
+     * Functional access log sink (not owned; null = detached).  The
+     * engine appends each reference as it executes, so the log is one
+     * total order of the run's accesses - the replay differential runs
+     * it through the abstract model.
      */
     std::vector<EngineAccess> *accessLog = nullptr;
 };
@@ -222,39 +204,17 @@ class Engine
 
   private:
     /**
-     * Classic loop: one global readyAt scan per reference.  On the
-     * plain access path a cache with the devirtualized hit path tries
-     * each reference through the fused probe first; everything else -
-     * misses, and every access while per-access machinery (fault
-     * injection, per-access checking, scheduled reintegrations) is
-     * armed - goes through the full System wrapper, whose observable
-     * behaviour depends on the exact global access order.
+     * The interleaved loop: one global readyAt scan per reference.  On
+     * the plain access path a cache with the devirtualized hit path
+     * tries each reference through the fused probe first; everything
+     * else - misses, and every access while per-access machinery
+     * (fault injection, per-access checking, scheduled reintegrations)
+     * is armed - goes through the full System wrapper, whose
+     * observable behaviour depends on the exact global access order.
      */
     EngineResult runInterleaved(const std::vector<RefStream *> &streams,
                                 std::uint64_t refs_per_proc,
                                 const RunControl *control);
-
-    /**
-     * Window-discipline loop for the plain access path: every
-     * processor first drains its run of cache-local references, then
-     * the service loop grants bus transactions in readyAt order
-     * through the arbiter exactly as in the classic loop, each
-     * followed by a drain of the winner's next local run.
-     */
-    EngineResult runWindowed(const std::vector<RefStream *> &streams,
-                             std::uint64_t refs_per_proc,
-                             const RunControl *control);
-
-    /**
-     * Bill proc `i`'s bus transaction for `ref`: ready at `readyAt`,
-     * granted at `grant`, holding the bus `busCycles`.  Charges wait
-     * and service time, busBusy, the latency recorder and the trace
-     * spans, then advances `busFree` and `readyAt` past the
-     * transaction.
-     */
-    void billBus(EngineResult &result, std::size_t i, const ProcRef &ref,
-                 Cycles grant, Cycles busCycles, Cycles &readyAt,
-                 Cycles &busFree) const;
 
     System &system_;
     EngineConfig config_;

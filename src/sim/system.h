@@ -215,10 +215,9 @@ class System
      * True when read()/write() reduce to the bare client access plus
      * oracle bookkeeping: no fault injector (so no watchdog, no
      * integrity quarantine, no RNG draws), no per-access invariant
-     * check, no scheduled reintegrations.  The timed engine's drain
-     * phases then call the clients directly and replay the oracle
-     * bookkeeping at the next serialization point; this predicate
-     * gates that.
+     * check, no scheduled reintegrations.  The timed engine's fused
+     * hit probe then calls the cache directly and does the oracle
+     * bookkeeping itself; this predicate gates that.
      */
     bool plainAccessPath() const
     {
@@ -227,8 +226,8 @@ class System
     }
 
     /**
-     * Record an oracle mismatch observed by the engine's deferred
-     * drain path: same bookkeeping as an inline read() verification
+     * Record an oracle mismatch observed by the engine's fused hit
+     * probe: same bookkeeping as an inline read() verification
      * failure (quarantineOnIntegrity cannot be armed here - it
      * requires a fault injector, which plainAccessPath() excludes).
      */

@@ -73,9 +73,8 @@ TEST(Differential, MixedProtocolsFourCaches)
 // Replay differential: the timed engine's functional access log must
 // hold every reference once, each processor's slice in program order,
 // and the abstract model must accept it and land on the engine's final
-// state vector.  PerLine relaxes only timing, so it keeps this
-// contract exactly as the interleaved loop does.
-TEST(Differential, EngineReplayPerLine)
+// state vector.
+TEST(Differential, EngineReplay)
 {
     for (ProtocolKind kind :
          {ProtocolKind::Moesi, ProtocolKind::Berkeley}) {
@@ -84,27 +83,12 @@ TEST(Differential, EngineReplayPerLine)
         cfg.lines = 2;
         cfg.refsPerProc = 4000;
         cfg.seed = 0x5a4d + static_cast<std::uint64_t>(kind);
-        cfg.ordering = EngineOrdering::PerLine;
         mc::DiffResult res = mc::runReplayDifferential(cfg);
         EXPECT_TRUE(res.ok)
             << protocolKindName(kind) << ": "
             << (res.errors.empty() ? "" : res.errors[0]);
         EXPECT_EQ(res.stepsRun, 1u);
     }
-}
-
-TEST(Differential, EngineReplayStrict)
-{
-    mc::ReplayDiffConfig cfg;
-    cfg.tables.assign(4, &moesiTable());
-    cfg.lines = 2;
-    cfg.refsPerProc = 4000;
-    cfg.seed = 0xfb02;
-    cfg.ordering = EngineOrdering::Strict;
-    mc::DiffResult res = mc::runReplayDifferential(cfg);
-    EXPECT_TRUE(res.ok)
-        << (res.errors.empty() ? "" : res.errors[0]);
-    EXPECT_EQ(res.stepsRun, 1u);
 }
 
 // Hierarchical lockstep: a live HierSystem (2 leaf buses, bridges,

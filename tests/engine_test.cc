@@ -2,8 +2,8 @@
  * @file
  * Tests of the timed engine: cycle accounting, utilization metrics,
  * contention behaviour and determinism, byte-identity of the
- * interleaved loop's fused hit path against its generic path, and the
- * PerLine window loop's drain.
+ * engine's fused hit path against its generic path, and cooperative
+ * cancellation.
  */
 
 #include <gtest/gtest.h>
@@ -227,11 +227,22 @@ expectIdentical(const Observed &a, const Observed &b)
     EXPECT_EQ(a.accesses, b.accesses);
 }
 
-/** One timed run of an Arch85 workload over the given protocol mix. */
+/** One timed run of an Arch85 workload over the given protocol mix;
+ *  `with_faults` arms timing faults (spurious aborts, memory
+ *  delays). */
 Observed
-runArch85(const std::vector<ProtocolKind> &mix, bool fast_path)
+runArch85(const std::vector<ProtocolKind> &mix, bool fast_path,
+          bool with_faults = false)
 {
-    System sys(timedConfig());
+    SystemConfig cfg = timedConfig();
+    if (with_faults) {
+        FaultConfig fc;
+        fc.seed = 11;
+        fc.spuriousAbort.probability = 0.02;
+        fc.memoryDelay.probability = 0.01;
+        cfg.faults = fc;
+    }
+    System sys(cfg);
     for (std::size_t i = 0; i < mix.size(); ++i) {
         CacheSpec cs = test::smallCache(mix[i]);
         cs.numSets = 16;
@@ -259,12 +270,115 @@ const std::vector<std::vector<ProtocolKind>> kMixes = {
 
 TEST(EngineTest, FusedHitPathMatchesGenericPath)
 {
-    for (const auto &mix : kMixes) {
-        Observed slow = runArch85(mix, false);
-        ASSERT_GT(slow.bus.transactions, 0u);
-        Observed fast = runArch85(mix, true);
-        expectIdentical(slow, fast);
+    for (bool with_faults : {false, true}) {
+        for (const auto &mix : kMixes) {
+            Observed slow = runArch85(mix, false, with_faults);
+            ASSERT_GT(slow.bus.transactions, 0u);
+            Observed fast = runArch85(mix, true, with_faults);
+            expectIdentical(slow, fast);
+        }
     }
+}
+
+/**
+ * Ping-pong on a few hot lines under an invalidating protocol: runs of
+ * read hits are regularly cut short by a foreign write's invalidation,
+ * so the fused probe must decline exactly where the generic path goes
+ * to the bus.
+ */
+Observed
+runPingPong(bool fast_path)
+{
+    System sys(timedConfig());
+    const std::size_t procs = 4;
+    std::vector<std::unique_ptr<RefStream>> streams;
+    for (std::size_t p = 0; p < procs; ++p) {
+        CacheSpec cs = test::smallCache(ProtocolKind::Berkeley);
+        cs.numSets = 16;
+        cs.assoc = 2;
+        cs.seed = p + 1;
+        sys.addCache(cs);
+        streams.push_back(std::make_unique<PingPongWorkload>(
+            32, 3, p, p + 21, 2));
+    }
+    return observe(sys, streams, {}, 2000, fast_path);
+}
+
+TEST(EngineTest, FusedHitPathMatchesGenericPathPingPong)
+{
+    Observed slow = runPingPong(false);
+    Observed fast = runPingPong(true);
+    expectIdentical(slow, fast);
+    // The workload must actually contend: invalidations kill copies.
+    std::uint64_t invalidated = 0;
+    for (const CacheStats &c : fast.caches)
+        invalidated += c.invalidationsRecv;
+    EXPECT_GT(invalidated, 0u);
+    EXPECT_TRUE(fast.violations.empty());
+    EXPECT_TRUE(fast.checkNow.empty());
+}
+
+/**
+ * Migratory read-modify-write bursts on one shared line, then private
+ * read hits for the rest of the stream: the long private tail runs
+ * almost entirely on the fused hit path.
+ */
+class SharedThenPrivateWorkload : public RefStream
+{
+  public:
+    SharedThenPrivateWorkload(std::size_t proc, std::uint64_t shared_refs)
+        : proc_(proc), sharedRefs_(shared_refs)
+    {
+    }
+
+    ProcRef
+    next() override
+    {
+        ProcRef ref;
+        if (n_ < sharedRefs_) {
+            // Seven reads then one write per visit, staggered by proc.
+            ref.addr = (n_ % 4) * kWordBytes;
+            ref.write = (n_ + proc_) % 8 == 0;
+        } else {
+            // Two private lines, far from the shared one.
+            ref.addr = (Addr{1} << 20) + proc_ * 64 + (n_ % 8) * kWordBytes;
+        }
+        ++n_;
+        return ref;
+    }
+
+  private:
+    std::size_t proc_;
+    std::uint64_t sharedRefs_;
+    std::uint64_t n_ = 0;
+};
+
+Observed
+runSharedThenPrivate(bool fast_path)
+{
+    System sys(timedConfig());
+    const std::size_t procs = 4;
+    const std::uint64_t kShared = 400;
+    const std::uint64_t kTail = 6000;
+    std::vector<std::unique_ptr<RefStream>> streams;
+    for (std::size_t p = 0; p < procs; ++p) {
+        CacheSpec cs = test::smallCache(ProtocolKind::Berkeley);
+        cs.numSets = 16;
+        cs.assoc = 2;
+        cs.seed = p + 1;
+        sys.addCache(cs);
+        streams.push_back(
+            std::make_unique<SharedThenPrivateWorkload>(p, kShared));
+    }
+    return observe(sys, streams, {}, kShared + kTail, fast_path);
+}
+
+TEST(EngineTest, FusedHitPathMatchesGenericPathSharedThenPrivate)
+{
+    Observed slow = runSharedThenPrivate(false);
+    Observed fast = runSharedThenPrivate(true);
+    expectIdentical(slow, fast);
+    EXPECT_TRUE(fast.violations.empty());
 }
 
 /**
@@ -337,6 +451,10 @@ TEST(EngineTest, FusedHitPathMatchesGenericPathProducerConsumer)
         Observed slow = runProducerConsumer(cs, false);
         Observed fast = runProducerConsumer(cs, true);
         expectIdentical(slow, fast);
+        std::uint64_t committed = 0;
+        for (const ProcTiming &p : fast.engine.procs)
+            committed += p.refs;
+        EXPECT_EQ(committed, 6u * 8000u);
         EXPECT_TRUE(fast.violations.empty());
     }
 }
@@ -366,7 +484,7 @@ TEST(EngineTest, FusedHitPathMatchesGenericPathOnReadMismatch)
     }
 }
 
-TEST(EngineTest, PerLineDeadlineFiresInsideTheDrain)
+TEST(EngineTest, DeadlineFiresBeforeTheFirstReference)
 {
     SystemConfig cfg;
     System sys(cfg);
@@ -382,9 +500,7 @@ TEST(EngineTest, PerLineDeadlineFiresInsideTheDrain)
     for (auto &s : streams)
         raw.push_back(s.get());
 
-    EngineConfig ec;
-    ec.ordering = EngineOrdering::PerLine;
-    Engine engine(sys, ec);
+    Engine engine(sys, {});
 
     RunControl control;
     control.hasDeadline = true;
@@ -393,92 +509,11 @@ TEST(EngineTest, PerLineDeadlineFiresInsideTheDrain)
 
     EngineResult r = engine.run(raw, 1u << 20, &control);
     EXPECT_TRUE(r.cancelled);
-    // The drain polls before every access, so an already-expired
-    // deadline stops the run before any reference executes.
+    // With checkEveryRefs = 1 the loop polls before every reference,
+    // so an already-expired deadline stops the run before any
+    // reference executes.
     for (const ProcTiming &p : r.procs)
         EXPECT_EQ(p.refs, 0u);
-}
-
-TEST(EngineTest, PerLineColdStartDrainsWarmHitsBeforeTheFirstGrant)
-{
-    // Warm a compatible mix: even processors read eight private lines
-    // (left in E), odd ones write them (left in M).
-    const std::vector<ProtocolKind> mix = {
-        ProtocolKind::Moesi, ProtocolKind::Berkeley,
-        ProtocolKind::Illinois, ProtocolKind::Moesi};
-    const std::size_t n = mix.size();
-    System sys(timedConfig());
-    for (std::size_t p = 0; p < n; ++p) {
-        CacheSpec cs = test::smallCache(mix[p]);
-        cs.numSets = 16;
-        cs.seed = p + 1;
-        sys.addCache(cs);
-    }
-    auto line = [](std::size_t p, std::size_t k) {
-        return (static_cast<Addr>(p + 1) << 20) + k * 32;
-    };
-    std::vector<std::unique_ptr<RefStream>> warm;
-    for (std::size_t p = 0; p < n; ++p) {
-        std::vector<ProcRef> refs;
-        for (std::size_t k = 0; k < 8; ++k)
-            refs.push_back({p % 2 == 1, line(p, k)});
-        warm.push_back(std::make_unique<VectorStream>(refs));
-    }
-    std::vector<RefStream *> raw;
-    for (auto &s : warm)
-        raw.push_back(s.get());
-    Engine(sys, {}).run(raw, 8);
-    for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t k = 0; k < 8; ++k) {
-            State st = sys.cacheOf(static_cast<MasterId>(p))
-                           ->lineState(line(p, k));
-            ASSERT_TRUE(st == State::M || st == State::E)
-                << "proc " << p << " line " << k;
-        }
-    }
-
-    // Processors 1-3 only hit their warm lines.  Processor 0 opens
-    // with one read of a line it does not hold, then hits too: that
-    // fill is the run's first bus grant, and every other processor's
-    // whole program is cache-local work that the cold-start drain
-    // retires before it.
-    const std::size_t per_proc = 200;
-    std::vector<std::vector<ProcRef>> programs(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        if (p == 0)
-            programs[p].push_back({false, line(p, 8)});
-        for (std::size_t j = programs[p].size(); j < per_proc; ++j)
-            programs[p].push_back({j % 3 == 0, line(p, j % 8)});
-    }
-    std::vector<std::unique_ptr<RefStream>> streams;
-    for (const auto &prog : programs)
-        streams.push_back(std::make_unique<VectorStream>(prog));
-    raw.clear();
-    for (auto &s : streams)
-        raw.push_back(s.get());
-
-    const std::uint64_t bus_before = sys.bus().stats().transactions;
-    std::vector<EngineAccess> log;
-    EngineConfig ec;
-    ec.ordering = EngineOrdering::PerLine;
-    ec.accessLog = &log;
-    EngineResult r = Engine(sys, ec).run(raw, per_proc);
-
-    for (const ProcTiming &t : r.procs)
-        EXPECT_EQ(t.refs, per_proc);
-    EXPECT_EQ(sys.bus().stats().transactions, bus_before + 1);
-    EXPECT_TRUE(sys.violations().empty());
-    EXPECT_TRUE(sys.checkNow().empty());
-
-    // The log is processors 1-3's programs in the cold-start window,
-    // each in program order, then processor 0's.
-    std::vector<EngineAccess> expected;
-    for (std::size_t p : {1, 2, 3, 0}) {
-        for (const ProcRef &ref : programs[p])
-            expected.push_back(
-                {static_cast<MasterId>(p), ref.write, ref.addr});
-    }
-    EXPECT_EQ(log, expected);
 }
 
 } // namespace

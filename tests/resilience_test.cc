@@ -591,5 +591,30 @@ TEST(JournalTest, ForeignJournalIsRejected)
     std::remove(path.c_str());
 }
 
+TEST(JournalTest, OlderFormatVersionIsNamed)
+{
+    const std::string path =
+        testing::TempDir() + "fbsim_v4_test.journal";
+    std::remove(path.c_str());
+    CampaignSpec spec = smallSpec(0x8a, 200, 2);
+    const std::uint64_t fp = campaignFingerprint(spec);
+    {
+        // The header a v4 build wrote for this very campaign.
+        std::ofstream out(path);
+        out << strprintf("fbsim-campaign-journal v4 fp=%016llx jobs=%zu\n",
+                         static_cast<unsigned long long>(fp),
+                         spec.numJobs());
+    }
+    // Both sides name the version, not a foreign campaign.
+    EXPECT_EXIT(loadCampaignJournal(path, fp),
+                ::testing::ExitedWithCode(1),
+                "format v4; this build reads v5");
+    auto reopen = [&] {
+        CampaignJournal journal(path, fp, spec.numJobs());
+    };
+    EXPECT_EXIT(reopen(), ::testing::ExitedWithCode(1), "v4");
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace fbsim

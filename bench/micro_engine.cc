@@ -134,6 +134,26 @@ BM_PrivateMissFanoutExhaustive(benchmark::State &state)
 }
 BENCHMARK(BM_PrivateMissFanoutExhaustive)->Arg(2)->Arg(8)->Arg(32);
 
+/**
+ * The Arch85 reference generator alone: one 64-reference nextBatch,
+ * the block the engine fetches per processor.  Real time is per
+ * block.
+ */
+void
+BM_Arch85Generate(benchmark::State &state)
+{
+    Arch85Params params;
+    Arch85Workload stream(params, 0, 3);
+    ProcRef block[64];
+    for (auto _ : state) {
+        stream.nextBatch(block, 64);
+        benchmark::DoNotOptimize(block);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_Arch85Generate);
+
 /** End-to-end timed engine throughput (references per second). */
 void
 BM_EngineThroughput(benchmark::State &state)

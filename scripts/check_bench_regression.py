@@ -24,11 +24,14 @@ import sys
 # BM_ProducerConsumerInvalidate/6 is experiment P2's
 # producer-consumer/invalidate job, where shared writes put the work
 # on the bus; BM_McExploreMoesi4x2 pins the model checker's
-# allocation-free transition loop.
+# allocation-free transition loop; BM_Arch85Generate times the Arch85
+# reference generator's 64-reference batch (its branch-free geometric
+# locality draw).
 DEFAULT_GUARDED = [
     "BM_EngineThroughput/8",
     "BM_ProducerConsumerInvalidate/6",
     "BM_McExploreMoesi4x2",
+    "BM_Arch85Generate",
 ]
 
 

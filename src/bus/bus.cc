@@ -35,7 +35,10 @@ Bus::attach(Snooper *snooper)
     if (snooper->filterable() && nextBit_ != 0) {
         bit = nextBit_;
         nextBit_ <<= 1;
-        bitOfId_.emplace(snooper->snooperId(), bit);
+        MasterId id = snooper->snooperId();
+        if (id >= bitOfId_.size())
+            bitOfId_.resize(static_cast<std::size_t>(id) + 1, 0);
+        bitOfId_[id] = bit;
     }
     snooperBit_.push_back(bit);
     snooperId_.push_back(snooper->snooperId());
@@ -56,13 +59,13 @@ Bus::setSnooperSuspended(MasterId id, bool suspended)
 void
 Bus::notePresence(MasterId id, LineAddr la, bool holds)
 {
-    auto it = bitOfId_.find(id);
-    if (it == bitOfId_.end())
+    const std::uint64_t bit = id < bitOfId_.size() ? bitOfId_[id] : 0;
+    if (bit == 0)
         return;
     if (holds) {
-        presence_[la] |= it->second;
+        presence_[la] |= bit;
     } else if (std::uint64_t *mask = presence_.find(la)) {
-        *mask &= ~it->second;
+        *mask &= ~bit;
         if (*mask == 0)
             presence_.erase(la);
     }
@@ -71,10 +74,9 @@ Bus::notePresence(MasterId id, LineAddr la, bool holds)
 void
 Bus::clearPresence(MasterId id)
 {
-    auto it = bitOfId_.find(id);
-    if (it == bitOfId_.end())
+    const std::uint64_t bit = id < bitOfId_.size() ? bitOfId_[id] : 0;
+    if (bit == 0)
         return;
-    std::uint64_t bit = it->second;
     // Collect first: erase must not run under the map's own iteration.
     std::vector<LineAddr> touched;
     presence_.forEach([&](LineAddr la, std::uint64_t mask) {

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bus/cost_model.h"
@@ -338,7 +337,9 @@ class Bus
     std::vector<MasterId> snooperId_;
     /** Withdrawn boards (parallel to snoopers_); skipped entirely. */
     std::vector<std::uint8_t> snooperSuspended_;
-    std::unordered_map<MasterId, std::uint64_t> bitOfId_;
+    /** Presence bit by MasterId (ids of filterable snoopers are small
+     *  client indices); 0 = unknown or not filterable. */
+    std::vector<std::uint64_t> bitOfId_;
     std::uint64_t nextBit_ = 1;
     /** line -> OR of presence bits of snoopers holding a valid copy. */
     FlatMap64<std::uint64_t> presence_;

@@ -259,20 +259,19 @@ class CoherenceChecker : public TraceSink
     /** The line's oracle slab, allocating a zero-filled one if new. */
     Word *oracleLine(LineAddr la)
     {
-        std::uint64_t *off = oracleSlot_.find(la);
-        if (off == nullptr) {
-            std::uint64_t at = oracleWords_.size();
-            oracleSlot_[la] = at;
-            oracleWords_.resize(at + wordsPerLine_, 0);
-            if (la < kDenseLines) {
-                if (la >= denseOff_.size())
-                    denseOff_.resize(
-                        static_cast<std::size_t>(la) + 1, 0);
-                denseOff_[static_cast<std::size_t>(la)] = at + 1;
-            }
-            return oracleWords_.data() + at;
+        // expectedLine's lookup, dense fast path included; its const
+        // only guards the public view of this non-const object.
+        if (const Word *w = expectedLine(la))
+            return const_cast<Word *>(w);
+        std::uint64_t at = oracleWords_.size();
+        oracleSlot_[la] = at;
+        oracleWords_.resize(at + wordsPerLine_, 0);
+        if (la < kDenseLines) {
+            if (la >= denseOff_.size())
+                denseOff_.resize(static_cast<std::size_t>(la) + 1, 0);
+            denseOff_[static_cast<std::size_t>(la)] = at + 1;
         }
-        return oracleWords_.data() + *off;
+        return oracleWords_.data() + at;
     }
 
     /// Largest line address mirrored in the dense lookup array (caps

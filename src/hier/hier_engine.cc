@@ -64,6 +64,7 @@ HierEngine::run(const std::vector<RefStream *> &streams,
         return system_.leafBus(c).stats().busyCycles;
     };
 
+    std::vector<Cycles> before(clusters);
     for (;;) {
         std::size_t imin = n;
         for (std::size_t i = 0; i < n; ++i) {
@@ -91,7 +92,6 @@ HierEngine::run(const std::vector<RefStream *> &streams,
         }
 
         // Snapshot bus occupancies, execute, attribute the deltas.
-        std::vector<Cycles> before(clusters);
         for (std::size_t c = 0; c < clusters; ++c)
             before[c] = leaf_busy(c);
         Cycles root_before = system_.rootBus().stats().busyCycles;

@@ -1,5 +1,7 @@
 #include "memory/main_memory.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace fbsim {
@@ -10,29 +12,30 @@ MainMemory::MainMemory(std::size_t words_per_line)
     fbsim_assert(words_per_line > 0);
 }
 
-std::vector<Word> &
+Word *
 MainMemory::lineRef(LineAddr la)
 {
     // Bus traffic hits the same line repeatedly (word writes during a
-    // broadcast run, push-then-refill).  unordered_map nodes are
-    // pointer-stable, so a one-entry cache short-circuits the hash.
-    if (lastLine_ && lastAddr_ == la)
-        return *lastLine_;
-    // Single lookup; the vector is only allocated on first touch of a
-    // line, never as a discarded temporary.
-    auto [it, inserted] = store_.try_emplace(la);
-    if (inserted)
-        it->second.assign(wordsPerLine_, 0);
+    // broadcast run, push-then-refill), so a one-entry cache
+    // short-circuits the probe.
+    if (lastAddr_ == la)
+        return words_.data() + lastOff_;
+    if (const std::uint64_t *off = slot_.find(la)) {
+        lastOff_ = *off;
+    } else {
+        lastOff_ = words_.size();
+        slot_[la] = lastOff_;
+        words_.resize(lastOff_ + wordsPerLine_, 0);
+    }
     lastAddr_ = la;
-    lastLine_ = &it->second;
-    return it->second;
+    return words_.data() + lastOff_;
 }
 
 std::span<const Word>
 MainMemory::readLine(LineAddr la)
 {
     ++stats_.lineReads;
-    return lineRef(la);
+    return {lineRef(la), wordsPerLine_};
 }
 
 void
@@ -40,8 +43,7 @@ MainMemory::writeLine(LineAddr la, std::span<const Word> words)
 {
     fbsim_assert(words.size() == wordsPerLine_);
     ++stats_.lineWrites;
-    std::vector<Word> &line = lineRef(la);
-    line.assign(words.begin(), words.end());
+    std::copy(words.begin(), words.end(), lineRef(la));
 }
 
 void
@@ -56,27 +58,28 @@ Word
 MainMemory::peekWord(LineAddr la, std::size_t word_idx) const
 {
     fbsim_assert(word_idx < wordsPerLine_);
-    if (lastLine_ && lastAddr_ == la)
-        return (*lastLine_)[word_idx];
-    auto it = store_.find(la);
-    return it == store_.end() ? 0 : it->second[word_idx];
+    if (lastAddr_ == la)
+        return words_[lastOff_ + word_idx];
+    const std::uint64_t *off = slot_.find(la);
+    return off ? words_[*off + word_idx] : 0;
 }
 
 std::span<const Word>
 MainMemory::peekLine(LineAddr la) const
 {
-    auto it = store_.find(la);
-    if (it == store_.end())
+    const std::uint64_t *off = slot_.find(la);
+    if (off == nullptr)
         return {};
-    return it->second;
+    return {words_.data() + *off, wordsPerLine_};
 }
 
 void
 MainMemory::forEachLine(
     const std::function<void(LineAddr, std::span<const Word>)> &fn) const
 {
-    for (const auto &[la, words] : store_)
-        fn(la, words);
+    slot_.forEach([&](std::uint64_t la, std::uint64_t off) {
+        fn(la, std::span<const Word>(words_.data() + off, wordsPerLine_));
+    });
 }
 
 } // namespace fbsim

@@ -9,8 +9,9 @@
  * backing store; all consistency intelligence lives bus- and
  * cache-side.
  *
- * The store is sparse (line-granular map); untouched lines read as
- * zero, matching the checker's oracle default.
+ * The store is sparse: touched lines live in one contiguous slab,
+ * indexed by line address through a FlatMap64; untouched lines read
+ * as zero, matching the checker's oracle default.
  */
 
 #ifndef FBSIM_MEMORY_MAIN_MEMORY_H_
@@ -19,9 +20,9 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace fbsim {
@@ -44,7 +45,12 @@ class MainMemory
 
     std::size_t wordsPerLine() const { return wordsPerLine_; }
 
-    /** Read a whole line (zero-filled if untouched). */
+    /**
+     * Read a whole line (zero-filled if untouched).  The span points
+     * into the slab, so it is valid only until the next access that
+     * may touch a new line (readLine, writeLine, writeWord); copy it
+     * out before issuing one.
+     */
     std::span<const Word> readLine(LineAddr la);
 
     /** Overwrite a whole line (a push / write-back). */
@@ -59,7 +65,8 @@ class MainMemory
     /** Peek a whole line; empty span if never touched (all zero). */
     std::span<const Word> peekLine(LineAddr la) const;
 
-    /** Visit every line ever touched. */
+    /** Visit every line ever touched, once each, in unspecified
+     *  order. */
     void forEachLine(
         const std::function<void(LineAddr, std::span<const Word>)> &fn)
         const;
@@ -68,14 +75,17 @@ class MainMemory
     const MemoryStats &stats() const { return stats_; }
 
   private:
-    std::vector<Word> &lineRef(LineAddr la);
+    /** The line's slab words, appending a zero-filled line if new. */
+    Word *lineRef(LineAddr la);
 
     std::size_t wordsPerLine_;
-    std::unordered_map<LineAddr, std::vector<Word>> store_;
-    /** One-entry lookup cache; nodes are stable and never erased, so
-     *  the pointer stays valid across inserts. */
-    LineAddr lastAddr_ = 0;
-    std::vector<Word> *lastLine_ = nullptr;
+    FlatMap64<std::uint64_t> slot_;  ///< line -> words_ offset
+    std::vector<Word> words_;        ///< touched lines, first-touch order
+    /** One-entry lookup cache, as a slab offset: lines are never
+     *  erased, so it survives slab growth.  Starts at the key
+     *  FlatMap64 reserves, which no line address can equal. */
+    LineAddr lastAddr_ = ~LineAddr{0};
+    std::uint64_t lastOff_ = 0;
     MemoryStats stats_;
 };
 

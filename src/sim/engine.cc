@@ -98,9 +98,9 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
     }
     CoherenceChecker &checker = system_.checker();
 
-    // Compact mirror of each proc's next-ready time, scanned once per
-    // executed reference; a drained stream parks at the sentinel so
-    // the scan needs no separate hasRef test.
+    // Compact mirror of each proc's next-ready time for the
+    // earliest-ready pick; a drained stream parks at the sentinel so
+    // the pick needs no separate hasRef test.
     constexpr Cycles kIdle = ~Cycles{0};
     std::vector<Cycles> ready(n, 0);
 
@@ -226,6 +226,19 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
                 : 0;
     std::uint64_t executed = 0;
 
+    // Earliest pending reference, lowest index on ties, by a cursor
+    // over the last full scan's level: levelT is the minimum ready time
+    // that scan found and [cur, last] the indices that held it.  Ready
+    // times only grow, so every index outside [cur, last] (and every
+    // one the cursor has passed) stays above levelT, and the first
+    // index in [cur, last] still at levelT is exactly what a fresh scan
+    // would pick.  Only once the cursor runs past last is a rescan due:
+    // once per level in lockstep runs, once per reference when all
+    // ready times differ.
+    Cycles levelT = 0;
+    std::size_t cur = 1;
+    std::size_t last = 0;
+
     for (;;) {
         if (control && ++executed >= untilCheck) {
             executed = 0;
@@ -234,14 +247,23 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
                 break;
             }
         }
-        // Earliest pending reference.
-        std::size_t imin = 0;
-        for (std::size_t i = 1; i < n; ++i) {
-            if (ready[i] < ready[imin])
-                imin = i;
+        while (cur <= last && ready[cur] != levelT)
+            ++cur;
+        if (cur > last) {
+            levelT = ready[0];
+            cur = last = 0;
+            for (std::size_t i = 1; i < n; ++i) {
+                if (ready[i] < levelT) {
+                    levelT = ready[i];
+                    cur = last = i;
+                } else if (ready[i] == levelT) {
+                    last = i;
+                }
+            }
+            if (levelT == kIdle)
+                break;
         }
-        if (ready[imin] == kIdle)
-            break;
+        const std::size_t imin = cur;
 
         // A pure hit executes at once.  A miss falls through to the
         // generic classification, which stays authoritative: a

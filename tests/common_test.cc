@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <set>
 
 #include "common/logging.h"
@@ -109,6 +112,76 @@ TEST(RngTest, GeometricWithPOneIsZero)
     Rng rng(21);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(rng.geometric(1.0), 0u);
+}
+
+/**
+ * Reference geometric draw: the plain early-exit threshold walk, with
+ * thresholds and tail built as Rng::geometricRetune/geometricTail
+ * build them.  Rng::geometric must return the same k and consume the
+ * same raw draw for every state.
+ */
+class ReferenceGeometric
+{
+  public:
+    explicit ReferenceGeometric(double p) : p_(p)
+    {
+        if (p >= 1.0)
+            return;
+        logDenom_ = std::log1p(-p);
+        double q = 1.0 - p;
+        double qk = 1.0;
+        for (std::uint64_t &t : thresh_) {
+            qk *= q;
+            t = static_cast<std::uint64_t>(
+                std::ceil((1.0 - qk) * 0x1.0p53));
+        }
+    }
+
+    std::uint64_t draw(Rng &rng) const
+    {
+        if (p_ >= 1.0)
+            return 0;
+        const std::uint64_t r = rng.next() >> 11;
+        for (std::size_t k = 0; k < thresh_.size(); ++k) {
+            if (r < thresh_[k])
+                return k;
+        }
+        double u = static_cast<double>(r) * 0x1.0p-53;
+        double k = std::floor(std::log1p(-u) / logDenom_);
+        double floor_table = static_cast<double>(thresh_.size());
+        return static_cast<std::uint64_t>(std::max(k, floor_table));
+    }
+
+  private:
+    double p_;
+    double logDenom_ = 0.0;
+    std::array<std::uint64_t, 32> thresh_{};
+};
+
+TEST(RngTest, GeometricMatchesThresholdWalk)
+{
+    // p = 1e-6 and 0.05 reach the log tail (k >= 32); 0.9 and 0.999999
+    // saturate the upper thresholds at 2^53; 0.6 is the workloads'
+    // locality parameter.
+    std::uint64_t head = 0, walk = 0, tail = 0;
+    for (double p : {1e-6, 0.05, 0.3, 0.5, 0.6, 0.9, 0.999999, 1.0}) {
+        Rng fast(0x5eed + static_cast<std::uint64_t>(p * 1e6));
+        Rng ref = fast;
+        ReferenceGeometric walker(p);
+        std::uint64_t mismatches = 0;
+        for (int i = 0; i < 1000000; ++i) {
+            std::uint64_t k = fast.geometric(p);
+            mismatches += k != walker.draw(ref);
+            head += k < 8;
+            walk += k >= 8 && k < 32;
+            tail += k >= 32;
+        }
+        EXPECT_EQ(mismatches, 0u) << "p = " << p;
+        EXPECT_EQ(fast.next(), ref.next()) << "p = " << p;
+    }
+    EXPECT_GT(head, 0u);
+    EXPECT_GT(walk, 0u);
+    EXPECT_GT(tail, 0u);
 }
 
 TEST(RngTest, ForkIsIndependent)

@@ -2,12 +2,13 @@
  * @file
  * Tests of the timed engine: cycle accounting, utilization metrics,
  * contention behaviour and determinism, byte-identity of the
- * engine's fused hit path against its generic path, and cooperative
- * cancellation.
+ * engine's fused hit path against its generic path, the pinned order
+ * of the earliest-ready pick, and cooperative cancellation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <vector>
@@ -482,6 +483,142 @@ TEST(EngineTest, FusedHitPathMatchesGenericPathOnReadMismatch)
         expectIdentical(slow, fast);
         EXPECT_FALSE(fast.violations.empty());
     }
+}
+
+/** FNV-1a step over the eight bytes of `v`. */
+std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** What the earliest-ready pick decides, reduced to pinnable values. */
+struct SchedulePin
+{
+    Cycles elapsed = 0;
+    Cycles busBusy = 0;
+    std::uint64_t timingHash = 0;  ///< every ProcTiming field, by proc
+    std::uint64_t busHash = 0;     ///< every BusStats field
+    std::uint64_t logLength = 0;
+    std::uint64_t logHash = 0;     ///< the access log, in order
+};
+
+void
+expectPin(const SchedulePin &got, const SchedulePin &want)
+{
+    EXPECT_EQ(got.elapsed, want.elapsed);
+    EXPECT_EQ(got.busBusy, want.busBusy);
+    EXPECT_EQ(got.timingHash, want.timingHash);
+    EXPECT_EQ(got.busHash, want.busHash);
+    EXPECT_EQ(got.logLength, want.logLength);
+    EXPECT_EQ(got.logHash, want.logHash);
+}
+
+/** Run one Arch85 stream per client of `sys` and pin the outcome. */
+SchedulePin
+pinSchedule(System &sys, const Arch85Params &params, std::uint64_t seed,
+            std::uint64_t refs_per_proc, EngineResult *result = nullptr)
+{
+    auto streams = makeArch85Streams(params, sys.numClients(), seed);
+    std::vector<RefStream *> raw;
+    for (auto &s : streams)
+        raw.push_back(s.get());
+    std::vector<EngineAccess> log;
+    EngineConfig ec;
+    ec.accessLog = &log;
+    Engine engine(sys, ec);
+    EngineResult r = engine.run(raw, refs_per_proc);
+
+    SchedulePin pin;
+    pin.elapsed = r.elapsed;
+    pin.busBusy = r.busBusy;
+    pin.timingHash = 0xcbf29ce484222325ull;
+    for (const ProcTiming &t : r.procs) {
+        for (std::uint64_t v : {t.refs, t.finishTime, t.execCycles,
+                                t.busWaitCycles, t.busServiceCycles})
+            pin.timingHash = fnvMix(pin.timingHash, v);
+    }
+    const BusStats &b = sys.bus().stats();
+    pin.busHash = 0xcbf29ce484222325ull;
+    for (std::uint64_t v :
+         {b.transactions, b.reads, b.readsForModify, b.wordWrites,
+          b.broadcastWrites, b.linePushes, b.invalidates, b.syncs,
+          b.interventions, b.writeCaptures, b.aborts, b.spuriousAborts,
+          b.droppedResponses, b.retryExhausted, b.responseConflicts,
+          b.addressCycles, b.dataWords, b.busyCycles, b.backoffCycles})
+        pin.busHash = fnvMix(pin.busHash, v);
+    pin.logLength = log.size();
+    pin.logHash = 0xcbf29ce484222325ull;
+    for (const EngineAccess &a : log) {
+        pin.logHash = fnvMix(pin.logHash, a.proc);
+        pin.logHash = fnvMix(pin.logHash, a.write);
+        pin.logHash = fnvMix(pin.logHash, a.addr);
+    }
+    EXPECT_TRUE(sys.violations().empty());
+    if (result)
+        *result = r;
+    return pin;
+}
+
+// The SchedulerOrder tests pin the interleaved loop's pick order: the
+// expected values were recorded with the original per-reference argmin
+// scan, so any pick that is not "earliest ready time, lowest index on
+// ties" shows up as a diff in timing, bus statistics or the log.
+
+TEST(EngineTest, SchedulerOrderLockstepArch85)
+{
+    // Sixteen identical MOESI caches on mostly-private Arch85 streams:
+    // long runs of one-cycle hits keep many processors on the same
+    // ready time, so ties decide most picks.
+    System sys(timedConfig());
+    for (std::size_t i = 0; i < 16; ++i) {
+        CacheSpec cs = test::smallCache();
+        cs.numSets = 16;
+        cs.seed = i + 1;
+        sys.addCache(cs);
+    }
+    expectPin(pinSchedule(sys, Arch85Params{}, 7, 2000),
+              {10655, 10576, 4736619612889360721ull,
+               2021651365063504237ull, 32000, 9012345230223742675ull});
+}
+
+TEST(EngineTest, SchedulerOrderSaturatedNonCaching)
+{
+    // Sixteen non-caching masters: every reference is a bus
+    // transaction, the bus saturates and ready times spread apart.
+    System sys(timedConfig());
+    for (std::size_t i = 0; i < 16; ++i)
+        sys.addNonCachingMaster(false);
+    expectPin(pinSchedule(sys, Arch85Params{}, 5, 300),
+              {46594, 46593, 9621610910474082126ull,
+               7164802650527879444ull, 4800, 987225502438591538ull});
+}
+
+TEST(EngineTest, SchedulerOrderWriteThroughMoesiMix)
+{
+    // Write-through caches load the bus far more than copy-back MOESI
+    // ones, so the streams drain at different times and the finished
+    // processors park at the idle sentinel while the rest run on.
+    System sys(timedConfig());
+    for (std::size_t i = 0; i < 8; ++i) {
+        CacheSpec cs = test::smallCache();
+        cs.numSets = 16;
+        cs.writeThrough = (i % 2 == 0);
+        cs.seed = i + 1;
+        sys.addCache(cs);
+    }
+    EngineResult r;
+    expectPin(pinSchedule(sys, Arch85Params{}, 3, 1500, &r),
+              {8767, 8708, 2707554239077110417ull,
+               1491892277984708802ull, 12000, 18064442194305882693ull});
+    Cycles first = r.elapsed;
+    for (const ProcTiming &t : r.procs)
+        first = std::min(first, t.finishTime);
+    EXPECT_LT(first, r.elapsed);
 }
 
 TEST(EngineTest, DeadlineFiresBeforeTheFirstReference)

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include "memory/main_memory.h"
 #include "text/waveform.h"
 
@@ -55,6 +59,48 @@ TEST(MainMemoryTest, ForEachLineVisitsTouchedLines)
         seen.insert(la);
     });
     EXPECT_EQ(seen, (std::set<LineAddr>{3, 9}));
+}
+
+TEST(MainMemoryTest, ContentsSurviveSlabGrowth)
+{
+    // Twelve thousand lines grow the slab many times over; every line
+    // must keep its words, and forEachLine must visit each exactly once.
+    MainMemory mem(4);
+    const LineAddr kLines = 12000;
+    for (LineAddr la = 0; la < kLines; ++la) {
+        LineAddr at = la * 7 + 3;   // sparse addresses
+        if (la % 2 == 0)
+            mem.writeWord(at, la % 4, la + 1);
+        else
+            mem.writeLine(at, std::vector<Word>{la, la + 1, la + 2, la + 3});
+    }
+    for (LineAddr la = 0; la < kLines; ++la) {
+        LineAddr at = la * 7 + 3;
+        std::span<const Word> line = mem.peekLine(at);
+        ASSERT_EQ(line.size(), 4u);
+        for (std::size_t w = 0; w < 4; ++w) {
+            Word want = la % 2 == 0 ? (w == la % 4 ? la + 1 : 0) : la + w;
+            ASSERT_EQ(line[w], want) << "line " << at << " word " << w;
+            ASSERT_EQ(mem.peekWord(at, w), want);
+        }
+    }
+    EXPECT_TRUE(mem.peekLine(1).empty());
+    EXPECT_EQ(mem.peekWord(1, 0), 0u);
+
+    std::map<LineAddr, int> visits;
+    mem.forEachLine([&](LineAddr la, std::span<const Word> words) {
+        ++visits[la];
+        EXPECT_EQ(words.size(), 4u);
+        EXPECT_EQ(words[0], mem.peekWord(la, 0));
+    });
+    ASSERT_EQ(visits.size(), kLines);
+    for (const auto &[la, count] : visits) {
+        EXPECT_EQ(la % 7, 3u);
+        EXPECT_EQ(count, 1) << "line " << la;
+    }
+    // A line first touched after all that growth still starts zeroed.
+    for (Word w : mem.readLine(2))
+        EXPECT_EQ(w, 0u);
 }
 
 TEST(WaveformTest, RendersEdgesAndLevels)

@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Fail if a guarded benchmark row regressed against the committed record.
+"""Fail if a guarded benchmark row regressed against a baseline.
 
 Usage:
-    check_bench_regression.py MEASURED_JSON [--record BENCH_micro.json]
+    check_bench_regression.py MEASURED_JSON [--record BASELINE_JSON]
         [--bench ROW]... [--tolerance 0.10]
 
 MEASURED_JSON is google-benchmark --benchmark_format=json output run
 with --benchmark_repetitions; for every guarded row the median across
-repetitions is compared against the record's optimized_ns entry.
---bench is repeatable; without it the default guarded set below is
-enforced.  Exits non-zero when any measured median exceeds its
-committed number by more than the tolerance.
+repetitions is compared against the baseline.  The baseline (--record,
+default BENCH_micro.json) is either a committed record, whose
+optimized_ns entry is used, or another google-benchmark JSON
+(recognised by its "benchmarks" key), whose per-row median is used -
+e.g. the base commit's micro_engine run in the same session, so both
+sides see the same machine load.  --bench is repeatable; without it
+the default guarded set below is enforced.  Exits non-zero when any
+measured median exceeds its baseline by more than the tolerance.
 """
 
 import argparse
@@ -35,7 +39,7 @@ DEFAULT_GUARDED = [
 ]
 
 
-def measured_median(report, bench):
+def measured_median(report, bench, what="measured report"):
     # With --benchmark_repetitions google-benchmark emits one entry
     # per repetition plus _mean/_median/_stddev aggregates; prefer its
     # own median aggregate, fall back to computing one.
@@ -46,22 +50,29 @@ def measured_median(report, bench):
         if b["name"] == bench and b.get("run_type", "iteration") != "aggregate":
             times.append(float(b["real_time"]))
     if not times:
-        sys.exit(f"error: benchmark {bench!r} not found in measured report")
+        sys.exit(f"error: benchmark {bench!r} not found in {what}")
     return statistics.median(times)
+
+
+def baseline_ns(record, bench):
+    """The row's baseline time, or None when the record lacks it."""
+    if "benchmarks" in record:
+        return measured_median(record, bench, "baseline report")
+    return record["optimized_ns"].get(bench)
 
 
 def check_row(report, record, bench, tolerance):
     """Returns an error string, or None when the row is within bounds."""
-    committed = record["optimized_ns"].get(bench)
-    if committed is None:
+    base = baseline_ns(record, bench)
+    if base is None:
         return (f"error: {bench!r} has no optimized_ns entry "
                 f"in the record")
 
     measured = measured_median(report, bench)
-    ratio = measured / committed
+    ratio = measured / base
     limit = 1.0 + tolerance
     print(f"{bench}: measured median {measured:.0f} ns, "
-          f"committed {committed:.0f} ns ({ratio:.2f}x, "
+          f"baseline {base:.0f} ns ({ratio:.2f}x, "
           f"limit {limit:.2f}x)")
     if ratio > limit:
         return (f"{bench} regressed {(ratio - 1.0) * 100:.1f}% > "
@@ -72,7 +83,8 @@ def check_row(report, record, bench, tolerance):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("measured", help="google-benchmark JSON output")
-    ap.add_argument("--record", default="BENCH_micro.json")
+    ap.add_argument("--record", default="BENCH_micro.json",
+                    help="committed record or google-benchmark JSON")
     ap.add_argument("--bench", action="append", dest="benches",
                     metavar="ROW",
                     help="row to enforce (repeatable; default: the "

@@ -109,9 +109,8 @@ class LineStore
 class PlainLineStore : public LineStore
 {
   public:
-    PlainLineStore(const CacheGeometry &geometry, ReplacementKind repl,
-                   std::uint64_t seed)
-        : tags_(geometry, repl, seed)
+    explicit PlainLineStore(const CacheGeometry &geometry)
+        : tags_(geometry)
     {
     }
 

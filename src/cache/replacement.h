@@ -1,12 +1,12 @@
 /**
  * @file
- * Replacement policies for set-associative tag stores.
+ * LRU recency table for set-associative stores.
  *
- * Section 5.2 of the paper suggests consulting replacement status when
- * deciding whether to keep a remotely-written line (update if recently
- * used, discard if near replacement); the policy interface exposes the
- * hook (isNearReplacement) that protocols/ uses to implement that
- * refinement.
+ * Section 5.2 of the paper consults replacement status when deciding
+ * whether to keep a remotely-written line (update if recently used,
+ * discard if near replacement).  That needs only a recency ranking, so
+ * the stores keep one: a stamp per frame, refreshed on every fill and
+ * hit, with the oldest stamp as the victim.
  */
 
 #ifndef FBSIM_CACHE_REPLACEMENT_H_
@@ -14,68 +14,57 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string_view>
+#include <vector>
 
 namespace fbsim {
 
-/** Available replacement algorithms. */
-enum class ReplacementKind { LRU, FIFO, Random, PLRU };
-
-/** Printable name of a replacement algorithm. */
-std::string_view replacementKindName(ReplacementKind kind);
-
-/**
- * Replacement state for one tag store.  Policies see accesses and fills
- * per (set, way) and nominate victims.  Way validity is handled by the
- * tag store (invalid ways are always preferred as victims); policies
- * only rank valid ways.
- */
-class ReplacementPolicy
+/** Per-frame LRU stamps for a (sets x ways) store, row-major. */
+class LruStamps
 {
   public:
-    virtual ~ReplacementPolicy() = default;
+    LruStamps(std::size_t sets, std::size_t ways)
+        : ways_(ways), stamps_(sets * ways, 0)
+    {
+    }
 
-    /** Algorithm name. */
-    virtual std::string_view name() const = 0;
+    /** A fill or hit used frame `idx` (= set * ways + way). */
+    void touch(std::size_t idx) { stamps_[idx] = ++clock_; }
 
-    /**
-     * Hot-path contract of onAccess(), so a tag store can skip the
-     * per-hit virtual dispatch: Noop = onAccess does nothing (FIFO,
-     * Random), Stamp = onAccess writes a fresh clock tick into slot
-     * set*ways+way of stampTable() (LRU), Custom = anything else
-     * (PLRU) - the caller must dispatch onAccess() virtually.
-     */
-    enum class TouchKind { Noop, Stamp, Custom };
-    virtual TouchKind touchKind() const { return TouchKind::Custom; }
-
-    /** Flat per-frame stamp slots (TouchKind::Stamp only; else null). */
-    virtual std::uint64_t *stampTable() { return nullptr; }
-
-    /** The stamp clock (TouchKind::Stamp only; else null). */
-    virtual std::uint64_t *stampClock() { return nullptr; }
-
-    /** A hit touched (set, way). */
-    virtual void onAccess(std::size_t set, std::size_t way) = 0;
-
-    /** A fill placed a new line into (set, way). */
-    virtual void onFill(std::size_t set, std::size_t way) = 0;
-
-    /** Nominate a victim way in the set (all ways valid). */
-    virtual std::size_t victim(std::size_t set) = 0;
+    /** Least recently used way of `set`; lowest way on ties. */
+    std::size_t
+    victim(std::size_t set) const
+    {
+        const std::uint64_t *row = &stamps_[set * ways_];
+        std::size_t best = 0;
+        for (std::size_t w = 1; w < ways_; ++w) {
+            if (row[w] < row[best])
+                best = w;
+        }
+        return best;
+    }
 
     /**
-     * True when the way ranks in the bottom half of the set's
-     * replacement order - the paper's "nearing time for replacement"
-     * test for discarding instead of updating a broadcast-written line.
+     * True when (set, way) ranks in the bottom half of the set by
+     * recency - the paper's "nearing time for replacement" test for
+     * discarding instead of updating a broadcast-written line.
      */
-    virtual bool isNearReplacement(std::size_t set, std::size_t way) = 0;
+    bool
+    nearReplacement(std::size_t set, std::size_t way) const
+    {
+        const std::uint64_t *row = &stamps_[set * ways_];
+        std::size_t older = 0;
+        for (std::size_t w = 0; w < ways_; ++w) {
+            if (w != way && row[w] < row[way])
+                ++older;
+        }
+        return older < (ways_ + 1) / 2;
+    }
+
+  private:
+    std::size_t ways_;
+    std::uint64_t clock_ = 0;
+    std::vector<std::uint64_t> stamps_;
 };
-
-/** Construct a policy instance for a (sets x ways) tag store. */
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(ReplacementKind kind, std::size_t sets,
-                      std::size_t ways, std::uint64_t seed);
 
 } // namespace fbsim
 

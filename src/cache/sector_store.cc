@@ -29,12 +29,10 @@ SectorGeometry::validate() const
         fbsim_fatal("sector associativity must be at least 1");
 }
 
-SectorStore::SectorStore(const SectorGeometry &geometry,
-                         ReplacementKind repl, std::uint64_t seed)
-    : geom_(geometry)
+SectorStore::SectorStore(const SectorGeometry &geometry)
+    : geom_(geometry), lru_(geometry.numSets, geometry.assoc)
 {
     geom_.validate();
-    repl_ = makeReplacementPolicy(repl, geom_.numSets, geom_.assoc, seed);
     sectors_.resize(geom_.numSets * geom_.assoc);
     for (Sector &frame : sectors_)
         frame.subs.resize(geom_.subsectorsPerSector);
@@ -88,7 +86,7 @@ SectorStore::evictionSet(LineAddr la)
             return {};
     }
     // Evict a whole sector: every valid subsector goes.
-    Sector &victim = sectors_[set * geom_.assoc + repl_->victim(set)];
+    Sector &victim = sectors_[set * geom_.assoc + lru_.victim(set)];
     std::vector<CacheLine *> out;
     for (CacheLine &line : victim.subs) {
         if (line.valid())
@@ -120,9 +118,7 @@ SectorStore::install(LineAddr la, State s)
             frame->subs[k].state = State::I;
             frame->subs[k].data.clear();
         }
-        std::size_t way = static_cast<std::size_t>(
-            frame - &sectors_[set * geom_.assoc]);
-        repl_->onFill(set, way);
+        lru_.touch(static_cast<std::size_t>(frame - sectors_.data()));
     }
     CacheLine &line = frame->subs[geom_.subOf(la)];
     fbsim_assert(!line.valid());
@@ -148,16 +144,14 @@ SectorStore::frameOf(const CacheLine &line) const
 void
 SectorStore::touch(const CacheLine &line)
 {
-    std::size_t idx = frameOf(line);
-    repl_->onAccess(idx / geom_.assoc, idx % geom_.assoc);
+    lru_.touch(frameOf(line));
 }
 
 bool
 SectorStore::nearReplacement(const CacheLine &line) const
 {
     std::size_t idx = frameOf(line);
-    return repl_->isNearReplacement(idx / geom_.assoc,
-                                    idx % geom_.assoc);
+    return lru_.nearReplacement(idx / geom_.assoc, idx % geom_.assoc);
 }
 
 void

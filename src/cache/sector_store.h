@@ -15,9 +15,8 @@
 #ifndef FBSIM_CACHE_SECTOR_STORE_H_
 #define FBSIM_CACHE_SECTOR_STORE_H_
 
-#include <memory>
-
 #include "cache/line_store.h"
+#include "cache/replacement.h"
 
 namespace fbsim {
 
@@ -56,8 +55,7 @@ struct SectorGeometry
 class SectorStore : public LineStore
 {
   public:
-    SectorStore(const SectorGeometry &geometry, ReplacementKind repl,
-                std::uint64_t seed);
+    explicit SectorStore(const SectorGeometry &geometry);
 
     const SectorGeometry &geometry() const { return geom_; }
 
@@ -101,7 +99,7 @@ class SectorStore : public LineStore
     std::size_t frameOf(const CacheLine &line) const;
 
     SectorGeometry geom_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    LruStamps lru_;   // one stamp per sector frame
     std::vector<Sector> sectors_;   // sets x ways, row-major
 };
 

@@ -6,20 +6,15 @@
 
 namespace fbsim {
 
-TagStore::TagStore(const CacheGeometry &geometry, ReplacementKind repl,
-                   std::uint64_t seed)
-    : geom_(geometry)
+TagStore::TagStore(const CacheGeometry &geometry)
+    : geom_(geometry), lru_(geometry.numSets, geometry.assoc)
 {
     geom_.validate();
-    repl_ = makeReplacementPolicy(repl, geom_.numSets, geom_.assoc, seed);
     lines_.resize(geom_.numSets * geom_.assoc);
     tags_.assign(lines_.size(), kNoTag);
     states_.assign(lines_.size(),
                    static_cast<std::uint8_t>(State::I));
     epochOf_.assign(lines_.size(), 0);
-    touchKind_ = repl_->touchKind();
-    touchStamps_ = repl_->stampTable();
-    touchClock_ = repl_->stampClock();
 }
 
 CacheLine &
@@ -41,7 +36,7 @@ TagStore::victimFor(LineAddr la)
         }
         return lines_[idx];
     }
-    return lines_[base + repl_->victim(geom_.setOf(la))];
+    return lines_[base + lru_.victim(geom_.setOf(la))];
 }
 
 void
@@ -58,7 +53,7 @@ TagStore::install(CacheLine &line, LineAddr la, State s)
     tags_[idx] = isValid(s) ? la : kNoTag;
     if (isValid(s))
         ++validCount_;
-    repl_->onFill(geom_.setOf(la), wayOf(line));
+    lru_.touch(idx);
 }
 
 void
@@ -80,7 +75,7 @@ TagStore::bulkInvalidate()
 bool
 TagStore::nearReplacement(const CacheLine &line) const
 {
-    return repl_->isNearReplacement(geom_.setOf(line.addr), wayOf(line));
+    return lru_.nearReplacement(geom_.setOf(line.addr), wayOf(line));
 }
 
 void

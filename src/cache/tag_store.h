@@ -21,7 +21,6 @@
 #define FBSIM_CACHE_TAG_STORE_H_
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,15 +41,12 @@ struct CacheLine
     bool valid() const { return isValid(state); }
 };
 
-/** A set-associative array of CacheLine with a replacement policy. */
+/** A set-associative array of CacheLine with LRU replacement. */
 class TagStore
 {
   public:
-    /** @param geometry validated cache shape.
-     *  @param repl replacement algorithm.
-     *  @param seed randomness for the Random policy. */
-    TagStore(const CacheGeometry &geometry, ReplacementKind repl,
-             std::uint64_t seed);
+    /** @param geometry validated cache shape. */
+    explicit TagStore(const CacheGeometry &geometry);
 
     TagStore(const TagStore &) = delete;
     TagStore &operator=(const TagStore &) = delete;
@@ -117,7 +113,7 @@ class TagStore
 
     /**
      * Install `la` into `line` (obtained from victimFor): resets tag,
-     * state and data storage and informs the replacement policy.
+     * state and data storage and stamps the frame most recently used.
      */
     void install(CacheLine &line, LineAddr la, State s);
 
@@ -149,22 +145,11 @@ class TagStore
      */
     void bulkInvalidate();
 
-    /** Record a hit for replacement bookkeeping.  Dispatched through
-     *  the policy's TouchKind so the per-hit path of the stamp
-     *  policies (LRU: one store; FIFO/Random: nothing) pays no
-     *  virtual call. */
+    /** Record a hit: stamp the line's frame most recently used. */
     void
     touch(const CacheLine &line)
     {
-        if (touchKind_ == ReplacementPolicy::TouchKind::Noop)
-            return;
-        std::size_t idx =
-            static_cast<std::size_t>(&line - lines_.data());
-        if (touchKind_ == ReplacementPolicy::TouchKind::Stamp) {
-            touchStamps_[idx] = ++*touchClock_;
-            return;
-        }
-        repl_->onAccess(idx / geom_.assoc, idx % geom_.assoc);
+        lru_.touch(static_cast<std::size_t>(&line - lines_.data()));
     }
 
     /** Near-replacement test for the section 5.2 refinement. */
@@ -194,13 +179,7 @@ class TagStore
     std::size_t wayOf(const CacheLine &line) const;
 
     CacheGeometry geom_;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    /** touch() fast-path dispatch, latched from repl_ at construction
-     *  (a policy's TouchKind and stamp storage are immutable). */
-    ReplacementPolicy::TouchKind touchKind_ =
-        ReplacementPolicy::TouchKind::Custom;
-    std::uint64_t *touchStamps_ = nullptr;
-    std::uint64_t *touchClock_ = nullptr;
+    LruStamps lru_;
     std::vector<CacheLine> lines_;   // sets x ways, row-major
     /** SoA metadata, parallel to lines_: packed tag (kNoTag when the
      *  frame is invalid), packed u8 state, and the epoch the entry

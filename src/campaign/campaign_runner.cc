@@ -22,18 +22,7 @@ CampaignScratch::shards(const std::vector<TraceRef> &trace,
 {
     if (traceKey_ == &trace && shardProcs_ == procs)
         return shards_;
-    if (shards_.size() < procs)
-        shards_.resize(procs);
-    for (std::size_t p = 0; p < procs; ++p)
-        shards_[p].clear();
-    for (const TraceRef &r : trace) {
-        fbsim_assert(r.proc < procs);
-        shards_[r.proc].push_back({r.write, r.addr});
-    }
-    for (std::size_t p = 0; p < procs; ++p) {
-        if (shards_[p].empty())
-            shards_[p].push_back({false, 0});
-    }
+    shards_ = splitTraceByProc(trace, procs);
     traceKey_ = &trace;
     shardProcs_ = procs;
     return shards_;

@@ -6,6 +6,23 @@
 
 namespace fbsim {
 
+namespace {
+
+/**
+ * Cross-bus forward retry policy: a dropped/stalled forward is re-sent
+ * up to kMaxForwardRetries times, charging kBackoffBase << k cycles
+ * before retry k; after that the forward is reported dropped and the
+ * leaf bus's own retry machinery re-drives the whole transaction.
+ */
+constexpr unsigned kMaxForwardRetries = 4;
+constexpr Cycles kBackoffBase = 2;
+
+/** Consecutive forward exhaustions before the per-bridge livelock
+ *  watchdog trips (stats().watchdogTrips). */
+constexpr unsigned kWatchdogThreshold = 4;
+
+} // namespace
+
 BusBridge::BusBridge(MasterId root_id, MasterId leaf_id, Bus &root,
                      std::size_t words_per_line)
     : rootId_(root_id), leafId_(leaf_id), root_(root),
@@ -146,13 +163,12 @@ BusBridge::forwardUp(const BusRequest &req, BusCmd cmd,
     // feed the per-bridge livelock watchdog.
     auto exhausted = [&]() {
         ++stats_.forwardExhausted;
-        if (watchdogThreshold_ != 0 &&
-            ++exhaustStreak_ >= watchdogThreshold_) {
+        if (++exhaustStreak_ >= kWatchdogThreshold) {
             ++stats_.watchdogTrips;
             exhaustStreak_ = 0;
             fbsim_warn("bridge %zu: forward watchdog tripped after %u "
                        "consecutive exhausted forwards %s",
-                       cluster_, watchdogThreshold_,
+                       cluster_, kWatchdogThreshold,
                        faults_ ? faults_->describe().c_str() : "");
         }
         SlaveResult out;
@@ -163,13 +179,12 @@ BusBridge::forwardUp(const BusRequest &req, BusCmd cmd,
 
     for (unsigned attempt = 0;; ++attempt) {
         if (forwardLost()) {
-            if (attempt >= maxForwardRetries_)
+            if (attempt >= kMaxForwardRetries)
                 return exhausted();
             // Exponential backoff before the re-send; the cycles are
             // charged to the leaf transaction via extraDelay.
             ++stats_.forwardRetries;
-            const Cycles b = backoffBase_
-                             << std::min(attempt, 6u);
+            const Cycles b = kBackoffBase << std::min(attempt, 6u);
             stats_.forwardBackoffCycles += b;
             extra += b;
             continue;

@@ -72,10 +72,6 @@ HierSystem::HierSystem(const HierConfig &config, std::size_t clusters)
         if (faults_) {
             cluster.bus->setFaultInjector(faults_.get());
             cluster.bridge->setFaultInjector(faults_.get(), i);
-            cluster.bridge->setForwardRetryPolicy(
-                config_.bridgeForwardRetries, config_.bridgeBackoffBase);
-            cluster.bridge->setWatchdogThreshold(
-                config_.bridgeWatchdogThreshold);
         }
         // H1/H2: the checker verifies the bridge's conservative
         // filters never unsafely exclude a holder.
@@ -106,10 +102,8 @@ HierSystem::addCache(std::size_t cluster, const CacheSpec &spec)
     Cluster &c = clusters_[cluster];
     SnoopingCacheConfig cfg;
     cfg.geometry = {config_.lineBytes, spec.numSets, spec.assoc};
-    cfg.replacement = spec.replacement;
     cfg.kind = spec.writeThrough ? ClientKind::WriteThrough
                                  : ClientKind::CopyBack;
-    cfg.seed = spec.seed;
     cfg.discardNearReplacement = spec.discardNearReplacement;
 
     // spec.table/spec.makeChooser overrides mirror System::addCache:

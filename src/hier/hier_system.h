@@ -62,13 +62,6 @@ struct HierConfig
     /** Schedule a quarantined segment's reintegration this many
      *  root-bus busy cycles after it was pulled; 0 = permanent. */
     Cycles reintegrateAfterCycles = 0;
-    /** Bridge cross-bus forward retry policy (see
-     *  BusBridge::setForwardRetryPolicy). */
-    unsigned bridgeForwardRetries = 4;
-    Cycles bridgeBackoffBase = 2;
-    /** Consecutive exhausted forwards before a bridge's livelock
-     *  watchdog trips (charged to its cluster's ladder). */
-    unsigned bridgeWatchdogThreshold = 4;
     /**
      * Audit-and-scrub cadence: every N accesses, recompute the exact
      * per-cluster presence sets from the leaf TagStores and repair

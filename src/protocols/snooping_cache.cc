@@ -11,9 +11,7 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
                              std::unique_ptr<ActionChooser> chooser,
                              const SnoopingCacheConfig &config)
     : SnoopingCache(id, bus, table, std::move(chooser),
-                    std::make_unique<PlainLineStore>(config.geometry,
-                                                     config.replacement,
-                                                     config.seed),
+                    std::make_unique<PlainLineStore>(config.geometry),
                     config.geometry.lineBytes, config.kind,
                     config.discardNearReplacement)
 {

@@ -35,11 +35,8 @@ namespace fbsim {
 struct SnoopingCacheConfig
 {
     CacheGeometry geometry;
-    ReplacementKind replacement = ReplacementKind::LRU;
     /** CopyBack or WriteThrough (NonCaching uses NonCachingMaster). */
     ClientKind kind = ClientKind::CopyBack;
-    /** Seed for the replacement policy (Random). */
-    std::uint64_t seed = 1;
     /**
      * Section 5.2 refinement: when a broadcast-written line is nearing
      * replacement, discard it instead of updating it (requires the

@@ -33,11 +33,6 @@ System::System(const SystemConfig &config) : config_(config)
     bus_->addTraceSink(checker_.get());
     checker_->setTrackDirty(config_.checkEveryAccess &&
                             config_.incrementalCheck);
-    if (config_.transactionLogCapacity > 0) {
-        txnLog_ = std::make_unique<TransactionLog>(
-            config_.transactionLogCapacity);
-        bus_->addTraceSink(txnLog_.get());
-    }
     if (config_.faults && config_.faults->anyEnabled()) {
         faults_ = std::make_unique<FaultInjector>(*config_.faults);
         bus_->setFaultInjector(faults_.get());
@@ -98,10 +93,8 @@ System::addCache(const CacheSpec &spec)
     MasterId id = static_cast<MasterId>(clients_.size());
     SnoopingCacheConfig cfg;
     cfg.geometry = {config_.lineBytes, spec.numSets, spec.assoc};
-    cfg.replacement = spec.replacement;
     cfg.kind = spec.writeThrough ? ClientKind::WriteThrough
                                  : ClientKind::CopyBack;
-    cfg.seed = spec.seed;
     cfg.discardNearReplacement = spec.discardNearReplacement;
     if (spec.writeThrough && !spec.table &&
         spec.protocol != ProtocolKind::Moesi)
@@ -146,8 +139,7 @@ System::addSectorCache(const CacheSpec &spec,
     geom.subsectorsPerSector = subsectors_per_sector;
     geom.numSets = spec.numSets;
     geom.assoc = spec.assoc;
-    auto store = std::make_unique<SectorStore>(geom, spec.replacement,
-                                               spec.seed);
+    auto store = std::make_unique<SectorStore>(geom);
     auto cache = std::make_unique<SnoopingCache>(
         id, *bus_, protocolTable(spec.protocol),
         makeChooser(spec.chooser, spec.policy, spec.seed),

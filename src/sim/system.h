@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bus/bus.h"
-#include "bus/transaction_log.h"
 #include "checker/coherence_checker.h"
 #include "fault/fault_injector.h"
 #include "memory/main_memory.h"
@@ -92,12 +91,6 @@ struct SystemConfig
      */
     bool quarantineOnIntegrity = false;
     /**
-     * Capacity of the built-in TransactionLog ring buffer (most
-     * recent bus transactions, formatted).  0 = no log (the default;
-     * the formatting work stays off the hot path entirely).
-     */
-    std::size_t transactionLogCapacity = 0;
-    /**
      * Assembly-time compatibility guard override.  The paper's
      * compatibility claim (section 4) does not extend to mixing
      * Write-Once with the ownership (O-state) protocols on one bus:
@@ -120,10 +113,9 @@ struct CacheSpec
     MoesiPolicy policy;                  ///< used when chooser == Policy
     std::size_t numSets = 64;
     std::size_t assoc = 4;
-    ReplacementKind replacement = ReplacementKind::LRU;
     bool writeThrough = false;           ///< "*" client (MOESI only)
     bool discardNearReplacement = false; ///< section 5.2 refinement
-    std::uint64_t seed = 1;
+    std::uint64_t seed = 1;              ///< the chooser's randomness
     /**
      * Explicit protocol table overriding `protocol` (testing: deliber-
      * ately perturbed tables for counterexample studies).  Must outlive
@@ -289,9 +281,6 @@ class System
      */
     void attachTrace(TraceSink *sink);
 
-    /** The built-in transaction log, or null when capacity is 0. */
-    const TransactionLog *transactionLog() const { return txnLog_.get(); }
-
   private:
     void afterAccess();
 
@@ -318,7 +307,6 @@ class System
     std::unique_ptr<Bus> bus_;
     std::unique_ptr<CoherenceChecker> checker_;
     std::unique_ptr<FaultInjector> faults_;
-    std::unique_ptr<TransactionLog> txnLog_;
     TraceSink *trace_ = nullptr;
     std::vector<std::unique_ptr<BusClient>> clients_;
     std::vector<SnoopingCache *> caches_;   ///< indexed by id; may be null

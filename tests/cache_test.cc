@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the cache substrate: geometry arithmetic, replacement
- * policies and the set-associative tag store.
+ * Tests of the cache substrate: geometry arithmetic, the LRU recency
+ * table and the set-associative tag store.
  */
 
 #include <gtest/gtest.h>
@@ -31,84 +31,34 @@ TEST(GeometryTest, AddressArithmetic)
     EXPECT_EQ(g.setOf(8), 0u);
 }
 
-class ReplacementTest
-    : public ::testing::TestWithParam<ReplacementKind>
+TEST(LruStampsTest, EvictsLeastRecentlyUsed)
 {
-};
-
-TEST_P(ReplacementTest, VictimIsAValidWay)
-{
-    auto policy = makeReplacementPolicy(GetParam(), 4, 4, 99);
-    for (std::size_t set = 0; set < 4; ++set) {
-        for (std::size_t w = 0; w < 4; ++w)
-            policy->onFill(set, w);
-        for (int i = 0; i < 50; ++i)
-            EXPECT_LT(policy->victim(set), 4u);
-    }
-}
-
-TEST_P(ReplacementTest, NameMatchesKind)
-{
-    auto policy = makeReplacementPolicy(GetParam(), 2, 2, 1);
-    EXPECT_EQ(policy->name(), replacementKindName(GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, ReplacementTest,
-    ::testing::Values(ReplacementKind::LRU, ReplacementKind::FIFO,
-                      ReplacementKind::Random, ReplacementKind::PLRU),
-    [](const ::testing::TestParamInfo<ReplacementKind> &info) {
-        return std::string(replacementKindName(info.param));
-    });
-
-TEST(ReplacementTest, LruEvictsLeastRecentlyUsed)
-{
-    auto lru = makeReplacementPolicy(ReplacementKind::LRU, 1, 4, 1);
+    LruStamps lru(1, 4);
+    EXPECT_EQ(lru.victim(0), 0u);   // all stamps equal: lowest way
     for (std::size_t w = 0; w < 4; ++w)
-        lru->onFill(0, w);
-    lru->onAccess(0, 0);   // order now: 1 (oldest), 2, 3, 0
-    EXPECT_EQ(lru->victim(0), 1u);
-    lru->onAccess(0, 1);
-    EXPECT_EQ(lru->victim(0), 2u);
+        lru.touch(w);
+    lru.touch(0);   // order now: 1 (oldest), 2, 3, 0
+    EXPECT_EQ(lru.victim(0), 1u);
+    lru.touch(1);
+    EXPECT_EQ(lru.victim(0), 2u);
 }
 
-TEST(ReplacementTest, FifoIgnoresAccesses)
+TEST(LruStampsTest, NearReplacementIsTheColdHalf)
 {
-    auto fifo = makeReplacementPolicy(ReplacementKind::FIFO, 1, 3, 1);
-    for (std::size_t w = 0; w < 3; ++w)
-        fifo->onFill(0, w);
-    fifo->onAccess(0, 0);
-    fifo->onAccess(0, 0);
-    // Way 0 was filled first; accesses don't save it.
-    EXPECT_EQ(fifo->victim(0), 0u);
-    fifo->onFill(0, 0);
-    EXPECT_EQ(fifo->victim(0), 1u);
-}
-
-TEST(ReplacementTest, LruNearReplacementIsTheColdHalf)
-{
-    auto lru = makeReplacementPolicy(ReplacementKind::LRU, 1, 4, 1);
+    LruStamps lru(2, 4);
     for (std::size_t w = 0; w < 4; ++w)
-        lru->onFill(0, w);
+        lru.touch(4 + w);   // set 1
     // Recency order 0,1,2,3 (3 hottest): 0 and 1 are the cold half.
-    EXPECT_TRUE(lru->isNearReplacement(0, 0));
-    EXPECT_TRUE(lru->isNearReplacement(0, 1));
-    EXPECT_FALSE(lru->isNearReplacement(0, 2));
-    EXPECT_FALSE(lru->isNearReplacement(0, 3));
-}
-
-TEST(ReplacementTest, PlruVictimAvoidsRecentWay)
-{
-    auto plru = makeReplacementPolicy(ReplacementKind::PLRU, 1, 4, 1);
-    for (std::size_t w = 0; w < 4; ++w)
-        plru->onFill(0, w);
-    plru->onAccess(0, 2);
-    EXPECT_NE(plru->victim(0), 2u);
+    EXPECT_TRUE(lru.nearReplacement(1, 0));
+    EXPECT_TRUE(lru.nearReplacement(1, 1));
+    EXPECT_FALSE(lru.nearReplacement(1, 2));
+    EXPECT_FALSE(lru.nearReplacement(1, 3));
+    EXPECT_EQ(lru.victim(1), 0u);
 }
 
 TEST(TagStoreTest, FindAfterInstall)
 {
-    TagStore tags({32, 4, 2}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 4, 2});
     EXPECT_EQ(tags.find(5), nullptr);
     CacheLine &line = tags.victimFor(5);
     tags.install(line, 5, State::E);
@@ -121,7 +71,7 @@ TEST(TagStoreTest, FindAfterInstall)
 
 TEST(TagStoreTest, InvalidWaysArePreferredVictims)
 {
-    TagStore tags({32, 1, 4}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 1, 4});
     // Fill two of four ways.
     for (LineAddr la = 0; la < 2; ++la) {
         CacheLine &line = tags.victimFor(la);
@@ -133,9 +83,41 @@ TEST(TagStoreTest, InvalidWaysArePreferredVictims)
     EXPECT_FALSE(v.valid());
 }
 
+/** A one-set, 4-way store holding lines 0..3 in ways 0..3. */
+void
+fillOneSet(TagStore &tags)
+{
+    for (LineAddr la = 0; la < 4; ++la) {
+        CacheLine &line = tags.victimFor(la);
+        tags.install(line, la, State::S);
+    }
+}
+
+TEST(TagStoreTest, TouchedWayIsNotTheVictim)
+{
+    TagStore tags({32, 1, 4});
+    fillOneSet(tags);
+    EXPECT_EQ(tags.victimFor(9).addr, 0u);   // oldest fill
+    tags.touch(*tags.find(0));
+    EXPECT_EQ(tags.victimFor(9).addr, 1u);
+}
+
+TEST(TagStoreTest, NearReplacementFollowsTouches)
+{
+    TagStore tags({32, 1, 4});
+    fillOneSet(tags);
+    tags.touch(*tags.find(0));
+    tags.touch(*tags.find(1));
+    // Recency order 2,3,0,1 (1 hottest): 2 and 3 are the cold half.
+    EXPECT_TRUE(tags.nearReplacement(*tags.find(2)));
+    EXPECT_TRUE(tags.nearReplacement(*tags.find(3)));
+    EXPECT_FALSE(tags.nearReplacement(*tags.find(0)));
+    EXPECT_FALSE(tags.nearReplacement(*tags.find(1)));
+}
+
 TEST(TagStoreTest, SetConflictEvictsWithinTheSet)
 {
-    TagStore tags({32, 4, 1}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 4, 1});
     // Lines 0 and 4 collide in set 0 of a 4-set direct-mapped store.
     CacheLine &a = tags.victimFor(0);
     tags.install(a, 0, State::S);
@@ -147,7 +129,7 @@ TEST(TagStoreTest, SetConflictEvictsWithinTheSet)
 
 TEST(TagStoreTest, ValidLineCountAndIteration)
 {
-    TagStore tags({32, 4, 2}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 4, 2});
     for (LineAddr la = 0; la < 5; ++la) {
         CacheLine &line = tags.victimFor(la);
         tags.install(line, la, State::S);
@@ -163,7 +145,7 @@ TEST(TagStoreTest, ValidLineCountAndIteration)
 
 TEST(TagStoreTest, InvalidatedLinesDropOutOfLookup)
 {
-    TagStore tags({32, 4, 2}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 4, 2});
     CacheLine &line = tags.victimFor(9);
     tags.install(line, 9, State::M);
     tags.setState(*tags.find(9), State::I);
@@ -190,8 +172,8 @@ TEST(TagStoreTest, EpochInvalidationMatchesPerLineWalk)
     geom.numSets = 8;
     geom.assoc = 2;
 
-    PlainLineStore epoch_store(geom, ReplacementKind::LRU, 1);
-    WalkInvalidateStore walk_store(geom, ReplacementKind::LRU, 1);
+    PlainLineStore epoch_store(geom);
+    WalkInvalidateStore walk_store(geom);
 
     std::vector<LineAddr> lines;
     for (LineAddr la = 0; la < 12; ++la)

@@ -67,15 +67,13 @@ INSTANTIATE_TEST_SUITE_P(LineSizes, LineSizeSweepTest,
 
 // ---------------------------------------------------------------- //
 
-class ReplacementSweepTest
-    : public ::testing::TestWithParam<
-          std::tuple<ReplacementKind, std::size_t>>
+class ReplacementSweepTest : public ::testing::TestWithParam<std::size_t>
 {
 };
 
 TEST_P(ReplacementSweepTest, ConsistentUnderCapacityPressure)
 {
-    auto [repl, assoc] = GetParam();
+    const std::size_t assoc = GetParam();
     SystemConfig cfg;
     cfg.checkEveryAccess = true;
     System sys(cfg);
@@ -83,7 +81,6 @@ TEST_P(ReplacementSweepTest, ConsistentUnderCapacityPressure)
         CacheSpec spec;
         spec.numSets = 2;   // tiny: constant eviction pressure
         spec.assoc = assoc;
-        spec.replacement = repl;
         spec.seed = i + 1;
         sys.addCache(spec);
     }
@@ -92,17 +89,9 @@ TEST_P(ReplacementSweepTest, ConsistentUnderCapacityPressure)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Policies, ReplacementSweepTest,
-    ::testing::Combine(::testing::Values(ReplacementKind::LRU,
-                                         ReplacementKind::FIFO,
-                                         ReplacementKind::Random,
-                                         ReplacementKind::PLRU),
-                       ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4})),
-    [](const auto &info) {
-        return std::string(replacementKindName(std::get<0>(info.param))) +
-               "_w" + std::to_string(std::get<1>(info.param));
-    });
+    Associativity, ReplacementSweepTest,
+    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{4}),
+    [](const auto &info) { return "w" + std::to_string(info.param); });
 
 // ---------------------------------------------------------------- //
 

@@ -26,7 +26,7 @@ TEST(SectorStoreTest, GeometryArithmetic)
 
 TEST(SectorStoreTest, SubsectorsShareOneTag)
 {
-    SectorStore store({32, 4, 4, 2}, ReplacementKind::LRU, 1);
+    SectorStore store({32, 4, 4, 2});
     // Install three subsectors of sector 0 (lines 0..2).
     for (LineAddr la = 0; la < 3; ++la) {
         ASSERT_TRUE(store.evictionSet(la).empty());
@@ -44,7 +44,7 @@ TEST(SectorStoreTest, SubsectorsCarryIndependentStates)
     // The paper: "Consistency status also appears to be necessarily
     // associated with the transfer subsector, rather than the address
     // sector."
-    SectorStore store({32, 4, 4, 2}, ReplacementKind::LRU, 1);
+    SectorStore store({32, 4, 4, 2});
     store.install(0, State::M);
     store.install(1, State::S);
     store.install(2, State::E);
@@ -57,7 +57,7 @@ TEST(SectorStoreTest, SectorEvictionCoversAllValidSubsectors)
 {
     // Direct-mapped single set: installing a third sector must evict
     // an entire resident sector.
-    SectorStore store({32, 4, 1, 2}, ReplacementKind::LRU, 1);
+    SectorStore store({32, 4, 1, 2});
     store.install(0, State::M);    // sector 0
     store.install(1, State::S);
     store.install(4, State::S);    // sector 1
@@ -71,6 +71,19 @@ TEST(SectorStoreTest, SectorEvictionCoversAllValidSubsectors)
     store.install(8, State::E);
     EXPECT_EQ(store.find(0), nullptr);
     EXPECT_NE(store.find(8), nullptr);
+}
+
+TEST(SectorStoreTest, TouchedSectorIsNotTheVictim)
+{
+    SectorStore store({32, 4, 1, 2});
+    store.install(0, State::S);    // sector 0, filled first
+    store.install(4, State::S);    // sector 1
+    store.touch(*store.find(0));
+    EXPECT_FALSE(store.nearReplacement(*store.find(0)));
+    EXPECT_TRUE(store.nearReplacement(*store.find(4)));
+    std::vector<CacheLine *> evict = store.evictionSet(8);
+    ASSERT_EQ(evict.size(), 1u);
+    EXPECT_EQ(evict[0]->addr, 4u);
 }
 
 TEST(SectorCacheTest, BasicCoherenceWithPlainCaches)
